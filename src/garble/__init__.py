@@ -3,8 +3,7 @@ while human listeners hear noise."""
 
 from .audio_io import (AudioBuffer, CANONICAL_RATE, UnsupportedCodecError,
                        WavFormatError, canonicalize, read_wav, resample, write_wav)
-from .dsp import (ComplexSpectrum, fft_real, frame_signal, inverse_fft_real,
-                  low_pass, magnitude, measure_snr)
+from .dsp import frames, low_pass, measure_snr
 from .features import (FeatureConfig, FeatureMatrix, extract_features,
                        feature_distance, hz_to_mel, mel_filterbank, mel_to_hz)
 from .perturb import (ParamGrid, PerturbationChain, PerturbationParams,

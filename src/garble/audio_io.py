@@ -104,6 +104,8 @@ def read_wav(data: bytes) -> AudioBuffer:
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise WavFormatError("float-32 data contains NaN or infinity")
     else:
         raise UnsupportedCodecError(
             f"format tag {audio_format} at {bits} bits (PCM-16 or float-32 only)"

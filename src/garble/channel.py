@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import apply_fir, design_lowpass
+from .dsp import apply_fir, design_lowpass, lowpass_length, renormalize
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,8 @@ def _band_taps(config: ChannelConfig, sample_rate: int) -> np.ndarray | None:
     if not lowpass_needed and not highpass_needed:
         return None
 
-    def default_len(edge_hz):
-        n = int(round(4.0 * sample_rate / (0.4 * edge_hz)))
-        return n + 1 if n % 2 == 0 else n
-
-    numtaps = max(default_len(high) if lowpass_needed else 1,
-                  default_len(low) if highpass_needed else 1)
+    numtaps = max(lowpass_length(high, sample_rate) if lowpass_needed else 1,
+                  lowpass_length(low, sample_rate) if highpass_needed else 1)
     if lowpass_needed:
         taps = design_lowpass(high, sample_rate, numtaps)
     else:
@@ -105,11 +101,7 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
         if p_noise_raw > 0.0 and target > 0.0:
             out = out + noise * math.sqrt(target / p_noise_raw)
 
-    scale = 1.0
-    peak = float(np.max(np.abs(out))) if len(out) else 0.0
-    if peak > 1.0:
-        scale = 1.0 / peak
-        out = out * scale
+    out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale
 
 

@@ -19,8 +19,8 @@ from .attack import (BackendError, ExhaustionReport, generic_attack,
                      DEFAULT_QUERY_BUDGET)
 from .audio_io import AudioBuffer, WavFormatError, canonicalize, read_wav, write_wav
 from .channel import resolve_channel, simulate
-from .dsp import frame_signal
-from .features import FeatureConfig, extract_features, feature_distance
+from .features import (FeatureConfig, extract_features, feature_distance,
+                       max_window_magnitude_diff, spectrum)
 from .perturb import (ParamGrid, PerturbationParams, apply_params, expand_grid,
                       tdi_probe_schedule)
 from .vad import detect_speech, format_regions
@@ -150,18 +150,7 @@ def cmd_compare(args) -> int:
     a = _load(args.a)
     b = _load(args.b)
     d = feature_distance(extract_features(a), extract_features(b))
-
-    window = max(1, round(args.window_ms * a.sample_rate / 1000.0))
-    n = min(len(a.samples), len(b.samples))
-    worst = 0.0
-    for start in range(0, n, window):
-        wa = a.samples[start:min(start + window, n)]
-        wb = b.samples[start:min(start + window, n)]
-        ma = np.abs(np.fft.rfft(wa))
-        mb = np.abs(np.fft.rfft(wb))
-        denom = max(float(np.max(ma)), float(np.max(mb)))
-        if denom > 0.0:
-            worst = max(worst, float(np.max(np.abs(ma - mb))) / denom)
+    worst = max_window_magnitude_diff(a, b, args.window_ms)
     print(f"feature_distance={d!r}")
     print(f"max_window_magnitude_rel_diff={worst!r}")
     return 0
@@ -193,11 +182,12 @@ def cmd_attack(args) -> int:
         ref_path, _, threshold = rest.rpartition(":")
         if not ref_path:
             raise ValueError("mock backend spec is mock:REFERENCE.wav:THRESHOLD")
+        budget = DEFAULT_QUERY_BUDGET if args.budget is None else args.budget
         backend = mock_oracle(_load(ref_path), args.target_phrase,
-                              float(threshold), budget=args.budget)
+                              float(threshold), budget=budget)
     elif spec.startswith("remote:"):
         config = load_remote_config(spec[len("remote:"):])
-        if args.budget != DEFAULT_QUERY_BUDGET:
+        if args.budget is not None:
             config = replace(config, budget=args.budget)
         backend = remote_transcriber(config, args.target_phrase)
     else:
@@ -216,14 +206,8 @@ def cmd_attack(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     audio = _load(args.input)
-    frame_len = max(1, round(args.frame_ms * audio.sample_rate / 1000.0))
-    hop = max(1, round(args.hop_ms * audio.sample_rate / 1000.0))
-    if len(audio.samples) < frame_len:
-        raise ValueError("audio shorter than one frame")
-    frames = [f for f in frame_signal(audio, frame_len, hop) if len(f) == frame_len]
-    window = np.hamming(frame_len)
-    fft_size = 1 << (frame_len - 1).bit_length()
-    spec = np.abs(np.fft.rfft(np.array(frames) * window, n=fft_size, axis=1))
+    spec = spectrum(audio, FeatureConfig(frame_ms=args.frame_ms, hop_ms=args.hop_ms,
+                                         use_power=False))
     db = 20.0 * np.log10(np.maximum(spec, 1e-10))
     top = float(np.max(db))
     span = 80.0  # dB of dynamic range in the image
@@ -298,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-phrase", required=True)
     p.add_argument("--backend", required=True,
                    help="mock:REF.wav:THRESHOLD or remote:CONFIG.json")
-    p.add_argument("--budget", type=int, default=DEFAULT_QUERY_BUDGET)
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"query cap (default {DEFAULT_QUERY_BUDGET}, or the "
+                        "remote config's budget)")
     p.add_argument("--out", default=None, help="where to write the winning audio")
     p.add_argument("--start-ms", type=float, default=1.0)
     p.add_argument("--step-ms", type=float, default=0.5)

@@ -1,28 +1,13 @@
-"""Shared signal kernels: framing, real FFT, FIR low-pass, SNR measurement."""
+"""Shared signal kernels: framing, peak renormalization, FIR low-pass, SNR
+measurement."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexSpectrum:
-    """One-sided spectrum of a real frame: bins[0..fft_size//2] complex."""
-
-    bins: np.ndarray
-    fft_size: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        expected = self.fft_size // 2 + 1
-        if arr.ndim != 1 or len(arr) != expected:
-            raise ValueError(f"expected {expected} bins for fft_size {self.fft_size}")
-        object.__setattr__(self, "bins", arr)
 
 
 def next_pow2(n: int) -> int:
@@ -31,80 +16,58 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def frame_signal(audio: AudioBuffer, window_len: int, hop: int,
-                 pad_last: bool = False) -> list[np.ndarray]:
-    """Split into frames starting at 0, hop, 2*hop, ...
+def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """Read-only (n_frames, length) strided view of the full frames of x.
 
-    The trailing frame keeps its natural (shorter) length unless pad_last
-    zero-extends it to window_len. Empty input gives an empty list.
+    Frames start at 0, hop, 2*hop, ... and only those that fit whole are
+    included. Callers that tile x (hop == length) and keep the shorter
+    remainder slice it themselves as x[view.size:]. Input shorter than one
+    frame gives zero rows.
     """
-    if window_len < 1 or hop < 1:
-        raise ValueError("window_len and hop must be >= 1")
-    x = audio.samples
-    frames = []
-    for start in range(0, len(x), hop):
-        frame = x[start:start + window_len]
-        if pad_last and len(frame) < window_len:
-            frame = np.concatenate([frame, np.zeros(window_len - len(frame))])
-        frames.append(frame)
-    return frames
+    if length < 1 or hop < 1:
+        raise ValueError("length and hop must be >= 1")
+    x = np.asarray(x)
+    n_frames = (len(x) - length) // hop + 1 if len(x) >= length else 0
+    step = x.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        x, (n_frames, length), (hop * step, step), writeable=False)
 
 
-def fft_real(frame: np.ndarray) -> ComplexSpectrum:
-    """Real FFT after zero-padding the frame to the next power of two.
+def renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scale x by 1/peak when it peaks past full scale; returns (x, scale).
 
-    DC and (for even sizes) Nyquist bins are forced exactly real, which the
-    inverse relies on.
+    scale is 1.0 (and x is returned as is) when |x| <= 1 throughout, so the
+    caller can report every rescale instead of hard-clipping.
     """
-    x = np.asarray(frame, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("frame must be a nonempty 1-D array")
-    n = next_pow2(len(x))
-    bins = np.fft.rfft(x, n=n)
-    bins[0] = bins[0].real
-    if n % 2 == 0:
-        bins[-1] = bins[-1].real
-    return ComplexSpectrum(bins, n)
+    peak = float(np.max(np.abs(x))) if len(x) else 0.0
+    if peak <= 1.0:
+        return x, 1.0
+    scale = 1.0 / peak
+    return x * scale, scale
 
 
-def inverse_fft_real(spectrum: ComplexSpectrum) -> np.ndarray:
-    """Inverse of fft_real; output length equals fft_size.
+def lowpass_length(cutoff_hz: float, sample_rate: int) -> int:
+    """Default odd tap count for a low-pass edge at cutoff_hz.
 
-    Raises ValueError when the DC or Nyquist bin carries an imaginary part,
-    since no real signal produces one there.
+    4 * fs / transition_width with the transition band spanning
+    [0.8, 1.2] * cutoff, rounded up to odd.
     """
-    bins = spectrum.bins
-    peak = float(np.max(np.abs(bins))) if len(bins) else 0.0
-    tol = 1e-12 * max(1.0, peak)
-    bad = abs(bins[0].imag) > tol
-    if spectrum.fft_size % 2 == 0:
-        bad = bad or abs(bins[-1].imag) > tol
-    if bad:
-        raise ValueError("DC/Nyquist bin has nonzero imaginary part")
-    return np.fft.irfft(bins, n=spectrum.fft_size)
-
-
-def magnitude(spectrum: ComplexSpectrum) -> np.ndarray:
-    """Per-bin magnitude sqrt(re^2 + im^2)."""
-    return np.abs(spectrum.bins)
+    numtaps = int(round(4.0 * sample_rate / (0.4 * cutoff_hz)))
+    return numtaps + 1 if numtaps % 2 == 0 else numtaps
 
 
 def design_lowpass(cutoff_hz: float, sample_rate: int,
                    numtaps: int | None = None) -> np.ndarray:
     """Hamming windowed-sinc low-pass taps, odd length, unit DC gain.
 
-    Default order follows 4 * fs / transition_width with the transition band
-    spanning [0.8, 1.2] * cutoff, rounded up to odd. Cutoff at Nyquist
-    degenerates to a unit impulse (exact pass-through).
+    The default order is lowpass_length(cutoff_hz, sample_rate). Cutoff at
+    Nyquist degenerates to a unit impulse (exact pass-through).
     """
     nyquist = sample_rate / 2.0
     if not 0.0 < cutoff_hz <= nyquist:
         raise ValueError(f"cutoff must be in (0, {nyquist}] Hz")
     if numtaps is None:
-        transition = 0.4 * cutoff_hz
-        numtaps = int(round(4.0 * sample_rate / transition))
-        if numtaps % 2 == 0:
-            numtaps += 1
+        numtaps = lowpass_length(cutoff_hz, sample_rate)
     if numtaps < 1 or numtaps % 2 == 0:
         raise ValueError("numtaps must be odd and positive")
     fc = cutoff_hz / sample_rate  # normalized, 0.5 == Nyquist

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft
 
 from .audio_io import AudioBuffer
-from .dsp import next_pow2
+from .dsp import frames, next_pow2
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
 
@@ -107,8 +107,13 @@ def filter_centers(config: FeatureConfig, sample_rate: int) -> np.ndarray:
     return vertices[1:-1]
 
 
-def _frame_matrix(audio: AudioBuffer, config: FeatureConfig) -> tuple[np.ndarray, int]:
-    """Full frames only, as an (n_frames, frame_len) view -> copy."""
+def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Per-frame one-sided spectrum of the full analysis frames.
+
+    Pre-emphasis, analysis window, real FFT zero padded to the next power of
+    two, then |X|^2 (config.use_power) or |X|. Returns an
+    (n_frames, fft_size//2 + 1) matrix.
+    """
     frame_len = max(1, round(config.frame_ms * audio.sample_rate / 1000.0))
     hop = max(1, round(config.hop_ms * audio.sample_rate / 1000.0))
     x = audio.samples
@@ -116,23 +121,20 @@ def _frame_matrix(audio: AudioBuffer, config: FeatureConfig) -> tuple[np.ndarray
         raise ValueError("audio shorter than one analysis frame")
     if config.pre_emphasis:
         x = np.concatenate([[x[0]], x[1:] - config.pre_emphasis * x[:-1]])
-    n_frames = (len(x) - frame_len) // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n_frames]
-    return np.array(frames), frame_len
+    rows = frames(x, frame_len, hop)
+    if config.analysis_window == "hamming":
+        rows = rows * np.hamming(frame_len)
+    mags = np.abs(np.fft.rfft(rows, n=next_pow2(frame_len), axis=1))
+    return mags ** 2 if config.use_power else mags
 
 
 def mel_energies(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Per-frame filterbank energies before the log (n_frames x n_filters)."""
-    frames, frame_len = _frame_matrix(audio, config)
-    if config.analysis_window == "hamming":
-        frames = frames * np.hamming(frame_len)
-    fft_size = next_pow2(frame_len)
-    spectrum = np.abs(np.fft.rfft(frames, n=fft_size, axis=1))
-    if config.use_power:
-        spectrum = spectrum ** 2
+    spec = spectrum(audio, config)
+    fft_size = max(1, 2 * (spec.shape[1] - 1))  # a power of two, so the bins fix it
     bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate,
                           config.f_min, config.f_max)
-    return spectrum @ bank.T
+    return spec @ bank.T
 
 
 def extract_features(audio: AudioBuffer,
@@ -161,3 +163,32 @@ def feature_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:
         raise ValueError("no frames to compare")
     diff = a.data[:n] - b.data[:n]
     return float(np.mean(np.linalg.norm(diff, axis=1)))
+
+
+def max_window_magnitude_diff(a: AudioBuffer, b: AudioBuffer, window_ms: float) -> float:
+    """Largest |FFT| difference between aligned windows of a and b, relative
+    to the larger peak magnitude of the two windows.
+
+    Windows of window_ms (at least one sample) tile the common length, the
+    shorter tail at its own length; windows silent in both are skipped.
+    Zero when every window's magnitude spectrum matches exactly.
+    """
+    if a.sample_rate != b.sample_rate:
+        raise ValueError("sample rates differ")
+    w = max(1, round(window_ms * a.sample_rate / 1000.0))
+    n = min(len(a), len(b))
+    xa, xb = a.samples[:n], b.samples[:n]
+    full = n // w * w
+    blocks = ((frames(xa, w, w), frames(xb, w, w)),  # full windows
+              (xa[None, full:], xb[None, full:]))    # the tail, maybe empty
+    worst = 0.0
+    for wa, wb in blocks:
+        if wa.size == 0:
+            continue
+        ma = np.abs(np.fft.rfft(wa, axis=1))
+        mb = np.abs(np.fft.rfft(wb, axis=1))
+        denom = np.maximum(np.max(ma, axis=1), np.max(mb, axis=1))
+        live = denom > 0.0
+        ratios = np.max(np.abs(ma - mb), axis=1)[live] / denom[live]
+        worst = max(worst, float(np.max(ratios, initial=0.0)))
+    return worst

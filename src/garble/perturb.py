@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .dsp import frames, renormalize
 
 
 def window_ms_to_samples(window_ms: float, sample_rate: int) -> int:
@@ -36,12 +37,11 @@ def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
     length. Applying tdi twice with the same window is the exact identity."""
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     x = audio.samples
+    windows = frames(x, w, w)
+    full = windows.size
     out = np.empty_like(x)
-    full = (len(x) // w) * w
-    if full:
-        out[:full] = x[:full].reshape(-1, w)[:, ::-1].ravel()
-    if full < len(x):
-        out[full:] = x[full:][::-1]
+    out[:full] = windows[:, ::-1].ravel()
+    out[full:] = x[full:][::-1]
     return AudioBuffer(out, audio.sample_rate)
 
 
@@ -57,17 +57,25 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     rng = np.random.default_rng(seed)
     x = audio.samples
+    windows = frames(x, w, w)
+    full = windows.size
     out = np.empty_like(x)
-    for start in range(0, len(x), w):
-        seg = x[start:start + w]
-        n = len(seg)
-        bins = np.fft.rfft(seg)
-        hi = (n + 1) // 2  # first non-interior index from above (Nyquist/none)
-        if hi > 1:
-            theta = rng.uniform(0.0, 2.0 * np.pi, hi - 1)
-            bins[1:hi] = np.abs(bins[1:hi]) * np.exp(1j * theta)
-        out[start:start + n] = np.fft.irfft(bins, n=n)
+    out[:full] = _randomize_phases(windows, rng)
+    if full < len(x):
+        out[full:] = _randomize_phases(x[None, full:], rng)
     return AudioBuffer(out, audio.sample_rate)
+
+
+def _randomize_phases(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rpg on each row at the row's own length, flattened; the phases are
+    drawn row by row from rng, as a per-window loop would draw them."""
+    n = rows.shape[1]
+    bins = np.fft.rfft(rows, axis=1)
+    hi = (n + 1) // 2  # first non-interior index from above (Nyquist/none)
+    if hi > 1:
+        theta = rng.uniform(0.0, 2.0 * np.pi, (len(rows), hi - 1))
+        bins[:, 1:hi] = np.abs(bins[:, 1:hi]) * np.exp(1j * theta)
+    return np.fft.irfft(bins, n=n, axis=1).ravel()
 
 
 def hfa(audio: AudioBuffer,
@@ -87,11 +95,7 @@ def hfa(audio: AudioBuffer,
         if amp < 0.0:
             raise ValueError("component amplitude must be >= 0")
         out += amp * np.sin(2.0 * np.pi * freq * n / audio.sample_rate)
-    scale = 1.0
-    peak = float(np.max(np.abs(out))) if len(out) else 0.0
-    if peak > 1.0:
-        scale = 1.0 / peak
-        out *= scale
+    out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .dsp import frames
 
 FRAME_MS = 10.0
 MARGIN_DB = 9.0
@@ -34,6 +35,17 @@ class SpeechRegion:
         return self.end_s - self.start_s
 
 
+def frame_energies(x: np.ndarray, frame_len: int) -> np.ndarray:
+    """Mean-square energy of each consecutive frame_len frame of x; a
+    shorter trailing frame counts at its own length."""
+    full = frames(x, frame_len, frame_len)
+    energies = np.mean(full ** 2, axis=1)
+    tail = x[full.size:]
+    if len(tail):
+        energies = np.append(energies, np.mean(tail ** 2))
+    return energies
+
+
 def detect_speech(audio: AudioBuffer,
                   frame_ms: float = FRAME_MS,
                   margin_db: float = MARGIN_DB,
@@ -50,11 +62,8 @@ def detect_speech(audio: AudioBuffer,
     frame_len = max(1, round(frame_ms * audio.sample_rate / 1000.0))
     if len(x) == 0:
         return []
-    n_frames = (len(x) + frame_len - 1) // frame_len
-    energies = np.empty(n_frames)
-    for i in range(n_frames):
-        seg = x[i * frame_len:(i + 1) * frame_len]
-        energies[i] = float(np.mean(seg ** 2))
+    energies = frame_energies(x, frame_len)
+    n_frames = len(energies)
 
     peak = float(np.max(energies))
     floor = min(float(np.percentile(energies, FLOOR_PERCENTILE)),

@@ -3,7 +3,9 @@
 Everything here is computed from first principles: explicit DFT matrices
 instead of np.fft, a hand-written DCT-II, a hand-built mel filterbank.
 Nothing imports from the package under test, so agreement between the two
-routes is evidence rather than tautology.
+routes is evidence rather than tautology. The per-window loops at the end
+are the package's earlier loop implementations of rpg and the VAD frame
+energies, kept as references for the vectorized code.
 """
 
 from functools import lru_cache
@@ -160,3 +162,33 @@ def sine_fit_amplitude(x, sample_rate, freq_hz):
     )
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def rpg_loop(x, w, seed):
+    """rpg one window at a time: each window (and the natural-length tail)
+    gets fresh uniform phases on its interior bins, drawn in window order
+    from one generator seeded per call."""
+    x = np.asarray(x, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    out = np.empty_like(x)
+    for start in range(0, len(x), w):
+        seg = x[start:start + w]
+        n = len(seg)
+        bins = np.fft.rfft(seg)
+        hi = (n + 1) // 2  # first non-interior index from above (Nyquist/none)
+        if hi > 1:
+            theta = rng.uniform(0.0, 2.0 * np.pi, hi - 1)
+            bins[1:hi] = np.abs(bins[1:hi]) * np.exp(1j * theta)
+        out[start:start + n] = np.fft.irfft(bins, n=n)
+    return out
+
+
+def vad_energies_loop(x, frame_len):
+    """Mean-square energy per frame_len frame, the shorter tail included."""
+    x = np.asarray(x, dtype=np.float64)
+    n_frames = (len(x) + frame_len - 1) // frame_len
+    energies = np.empty(n_frames)
+    for i in range(n_frames):
+        seg = x[i * frame_len:(i + 1) * frame_len]
+        energies[i] = float(np.mean(seg ** 2))
+    return energies

@@ -88,6 +88,13 @@ def test_read_rejects_garbage_and_truncation():
         read_wav(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_float32_rejects_nonfinite(bad):
+    vals = np.array([0.25, bad, -0.5], dtype=np.float32)
+    with pytest.raises(WavFormatError, match="NaN or infinity"):
+        read_wav(make_wav(3, 1, 16000, 32, vals.tobytes()))
+
+
 def test_read_rejects_unsupported_codecs():
     with pytest.raises(UnsupportedCodecError):
         read_wav(make_wav(6, 1, 8000, 8, b"\x00\x00"))  # a-law

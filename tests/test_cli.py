@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from garble.attack import BackendError
 from garble.audio_io import read_wav, write_wav
 from garble.cli import (
     format_manifest_line,
@@ -241,6 +244,26 @@ def test_attack_bad_backend_spec_exits_2(wav_on_disk, capsys):
     src = wav_on_disk(band_noise(4, duration_s=0.2))
     assert main(["attack", str(src), "--target-phrase", "x",
                  "--backend", "oracle.wav"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, want", [([], 3), (["--budget", "10"], 10)])
+def test_attack_budget_flag_overrides_remote_config(tmp_path, wav_on_disk, capsys,
+                                                    monkeypatch, flag, want):
+    config_path = tmp_path / "stt.json"
+    config_path.write_text(json.dumps({"url": "http://localhost:9/stt", "budget": 3}))
+    seen = []
+
+    def capture(config, phrase):
+        seen.append(config)
+        raise BackendError("captured")  # stop before any request
+
+    monkeypatch.setattr("garble.cli.remote_transcriber", capture)
+    src = wav_on_disk(band_noise(7, duration_s=0.2))
+    code = main(["attack", str(src), "--target-phrase", "x",
+                 "--backend", f"remote:{config_path}", *flag])
+    assert code == 1
+    assert [c.budget for c in seen] == [want]
     capsys.readouterr()
 
 

@@ -3,18 +3,14 @@ import pytest
 
 from garble.audio_io import AudioBuffer
 from garble.dsp import (
-    ComplexSpectrum,
     apply_fir,
     design_lowpass,
-    fft_real,
-    frame_signal,
-    inverse_fft_real,
+    frames,
     low_pass,
-    magnitude,
     measure_snr,
     next_pow2,
 )
-from oracles import direct_rfft, sine_fit_amplitude
+from oracles import sine_fit_amplitude
 from synth import SR, random_buffer, sine_buffer
 
 
@@ -22,95 +18,30 @@ from synth import SR, random_buffer, sine_buffer
 
 
 def test_frame_signal_natural_tail():
-    buf = AudioBuffer(np.arange(7, dtype=np.float64), SR)
-    frames = frame_signal(buf, 3, 3)
-    assert [len(f) for f in frames] == [3, 3, 1]
-    assert np.array_equal(frames[2], [6.0])
-
-
-def test_frame_signal_padded_tail():
-    buf = AudioBuffer(np.arange(7, dtype=np.float64), SR)
-    frames = frame_signal(buf, 3, 3, pad_last=True)
-    assert [len(f) for f in frames] == [3, 3, 3]
-    assert np.array_equal(frames[2], [6.0, 0.0, 0.0])
+    x = np.arange(7, dtype=np.float64)
+    view = frames(x, 3, 3)
+    assert view.shape == (2, 3)
+    assert np.array_equal(view, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert np.array_equal(x[view.size:], [6.0])  # the remainder callers keep
+    assert not view.flags.writeable
 
 
 def test_frame_signal_overlap_and_validation():
-    buf = AudioBuffer(np.arange(10, dtype=np.float64), SR)
-    frames = frame_signal(buf, 4, 2)
-    assert np.array_equal(frames[1], [2.0, 3.0, 4.0, 5.0])
-    assert frame_signal(AudioBuffer(np.zeros(0), SR), 4, 2) == []
+    x = np.arange(10, dtype=np.float64)
+    view = frames(x, 4, 2)
+    assert view.shape == (4, 4)
+    assert np.array_equal(view[1], [2.0, 3.0, 4.0, 5.0])
+    assert frames(np.zeros(0), 4, 2).shape == (0, 4)
+    assert frames(np.zeros(3), 4, 2).shape == (0, 4)
     with pytest.raises(ValueError):
-        frame_signal(buf, 0, 2)
+        frames(x, 0, 2)
     with pytest.raises(ValueError):
-        frame_signal(buf, 4, 0)
-
-
-# --- forward/inverse FFT ----------------------------------------------------
+        frames(x, 4, 0)
 
 
 def test_next_pow2_table():
     got = [next_pow2(n) for n in range(1, 10)]
     assert got == [1, 2, 4, 4, 8, 8, 8, 8, 16]
-
-
-def test_fft_real_constant_frame():
-    spec = fft_real(np.array([1.0, 1.0, 1.0, 1.0]))
-    assert spec.fft_size == 4
-    assert np.array_equal(spec.bins, np.array([4.0, 0.0, 0.0], dtype=complex))
-
-
-def test_fft_real_matches_direct_dft(rng):
-    for n in [1, 2, 3, 5, 17, 160, 320, 333]:
-        frame = rng.standard_normal(n)
-        spec = fft_real(frame)
-        want = direct_rfft(frame, spec.fft_size)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(spec.bins - want)) <= 1e-9 * scale
-
-
-def test_fft_real_edge_bins_are_real(rng):
-    for n in [4, 16, 320]:
-        spec = fft_real(rng.standard_normal(n))
-        assert spec.bins[0].imag == 0.0
-        assert spec.bins[-1].imag == 0.0
-
-
-def test_fft_roundtrip(rng):
-    for n in [1, 2, 3, 7, 64, 320, 1000]:
-        frame = rng.standard_normal(n)
-        back = inverse_fft_real(fft_real(frame))
-        padded = np.zeros(next_pow2(n))
-        padded[:n] = frame
-        assert np.max(np.abs(back - padded)) <= 1e-9
-
-
-def test_inverse_rejects_complex_dc_and_nyquist():
-    bins = np.array([1.0 + 0.5j, 0.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError):
-        inverse_fft_real(ComplexSpectrum(bins, 4))
-    bins = np.array([1.0, 0.0, 2.0 + 1.0j], dtype=complex)
-    with pytest.raises(ValueError):
-        inverse_fft_real(ComplexSpectrum(bins, 4))
-
-
-def test_spectrum_bin_count_enforced():
-    with pytest.raises(ValueError):
-        ComplexSpectrum(np.zeros(4, dtype=complex), 4)
-
-
-def test_magnitude_and_parseval(rng):
-    frame = rng.standard_normal(256)
-    spec = fft_real(frame)
-    mags = magnitude(spec)
-    assert np.allclose(mags, np.hypot(spec.bins.real, spec.bins.imag), atol=0)
-    # Parseval with one-sided weights: interior bins count twice
-    weights = np.full(len(mags), 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    lhs = np.sum(frame ** 2)
-    rhs = np.sum(weights * mags ** 2) / spec.fft_size
-    assert abs(lhs - rhs) <= 1e-9 * max(1.0, lhs)
 
 
 # --- FIR low-pass -----------------------------------------------------------

@@ -11,8 +11,11 @@ from garble.features import (
     mel_energies,
     mel_filterbank,
     mel_to_hz,
+    max_window_magnitude_diff,
 )
-from oracles import dct2_reference, mel_bank_reference, mfcc_reference
+from garble.perturb import tdi
+from oracles import (dct2_reference, direct_window_mags, mel_bank_reference,
+                     mfcc_reference)
 from synth import SR, band_noise, random_buffer, sine_buffer
 
 
@@ -208,3 +211,18 @@ def test_feature_distance_rejects_mismatches():
     c = extract_features(band_noise(30, duration_s=0.2, sr=8000))
     with pytest.raises(ValueError):
         feature_distance(a, c)
+
+
+def test_max_window_magnitude_diff_matches_direct_dft():
+    # 4821 and 4000 samples: 320-sample windows leave a tail in both checks
+    a = band_noise(31, duration_s=0.3013)
+    b = band_noise(32, duration_s=0.25)
+    n, w = len(b), 320
+    want = max(float(np.max(np.abs(ma - mb))) / max(float(np.max(ma)), float(np.max(mb)))
+               for ma, mb in zip(direct_window_mags(a.samples[:n], w),
+                                 direct_window_mags(b.samples, w)))
+    assert abs(max_window_magnitude_diff(a, b, 20.0) - want) < 1e-9
+    # tdi keeps every window's magnitudes, the tail's included
+    assert max_window_magnitude_diff(a, tdi(a, 20.0), 20.0) < 1e-12
+    with pytest.raises(ValueError):
+        max_window_magnitude_diff(a, AudioBuffer(a.samples, 8000), 20.0)
