@@ -21,7 +21,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
 from .features import FeatureConfig, FeatureMatrix, extract_features, feature_distance
-from .perturb import PerturbationParams, apply_params
+from .perturb import PerturbationParams, apply_params, rpg
 
 DEFAULT_QUERY_BUDGET = 10
 
@@ -132,8 +132,6 @@ def calibrate_mock_threshold(references: list[AudioBuffer],
     (window = analysis frame) variants. Lower anchor: min distance to
     RMS-matched white noise. Raises when the two sides do not separate.
     """
-    from .perturb import rpg  # local import keeps module load cheap
-
     rng = np.random.default_rng(seed)
     preserved = []
     noisy = []
@@ -166,10 +164,28 @@ def distortion_key(params: PerturbationParams) -> tuple[float, float, float]:
     return (min_window, -ts_factor, -hfa_total)
 
 
-def rank_by_distortion(candidates: list[AttackCandidate]) -> list[AttackCandidate]:
-    """Stable sort, worst-sounding first; stamps distortion_rank 0, 1, ..."""
-    ranked = sorted(candidates, key=lambda c: distortion_key(c.params))
-    return [replace(c, distortion_rank=i) for i, c in enumerate(ranked)]
+def _ranked_candidates(audio: AudioBuffer, schedule: list[PerturbationParams]):
+    """Yield the schedule worst-sounding first, rendering each candidate only
+    when it is drawn. Ties keep schedule order; distortion_rank is 0, 1, ..."""
+    for rank, params in enumerate(sorted(schedule, key=distortion_key)):
+        yield AttackCandidate(params, apply_params(audio, params), rank)
+
+
+def _first_accepted(backend: TranscriberBackend, candidates):
+    """Query candidates in order and return the first accepted one (verdict
+    attached), or an ExhaustionReport when candidates or budget run out.
+
+    A candidate is drawn only when a query is left to spend on it: every
+    transcribe() spends exactly one query or raises, so the budget left on
+    entry bounds the draws.
+    """
+    issued = []
+    for cand in itertools.islice(candidates, backend.queries_remaining):
+        cand = replace(cand, verdict=backend.transcribe(cand.audio))
+        issued.append(cand)
+        if cand.verdict.accepted:
+            return cand
+    return ExhaustionReport(tuple(issued), backend.queries_used)
 
 
 def _require_fresh(backend: TranscriberBackend):
@@ -183,23 +199,13 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
 
     Returns the first accepted AttackCandidate (verdict attached), or an
     ExhaustionReport when the schedule or the budget runs out. Running out
-    of budget mid-schedule is a normal outcome here, not an exception.
+    of budget mid-schedule is a normal outcome here, not an exception. Each
+    candidate is rendered only when a query is spent on it.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
     _require_fresh(backend)
-    ranked = rank_by_distortion(
-        [AttackCandidate(p, apply_params(source, p)) for p in schedule])
-    issued = []
-    for cand in ranked:
-        if backend.queries_remaining == 0:
-            return ExhaustionReport(tuple(issued), backend.queries_used)
-        verdict = backend.transcribe(cand.audio)
-        cand = replace(cand, verdict=verdict)
-        issued.append(cand)
-        if verdict.accepted:
-            return cand
-    return ExhaustionReport(tuple(issued), backend.queries_used)
+    return _first_accepted(backend, _ranked_candidates(source, schedule))
 
 
 def improved_attack(words: list[AudioBuffer], per_word_variants: int,
@@ -210,6 +216,9 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     k worst-sounding variants that pass a local feature-distance check are
     kept, and the k^n concatenations are queried in lexicographic order of
     per-word distortion rank. Same return contract as generic_attack.
+
+    A word's variants are rendered worst-sounding first and only until k
+    of them pass the check.
     """
     if not words:
         raise ValueError("words must be nonempty")
@@ -223,32 +232,23 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
 
     per_word: list[list[AttackCandidate]] = []
     for word in words:
-        ranked = rank_by_distortion(
-            [AttackCandidate(p, apply_params(word, p)) for p in schedule])
+        variants = _ranked_candidates(word, schedule)
         if math.isfinite(feature_threshold):
             ref = extract_features(word, feature_config)
-            ranked = [c for c in ranked if feature_distance(
-                extract_features(c.audio, feature_config), ref) <= feature_threshold]
-            if not ranked:
-                raise ValueError("a word has no variants under the feature threshold")
-        per_word.append(ranked[:per_word_variants])
+            variants = (c for c in variants if feature_distance(
+                extract_features(c.audio, feature_config), ref) <= feature_threshold)
+        kept = list(itertools.islice(variants, per_word_variants))
+        if not kept:
+            raise ValueError("a word has no variants under the feature threshold")
+        per_word.append(kept)
 
-    issued = []
-    for combo in itertools.product(*per_word):
-        if backend.queries_remaining == 0:
-            return ExhaustionReport(tuple(issued), backend.queries_used)
-        samples = np.concatenate([c.audio.samples for c in combo])
-        candidate = AttackCandidate(
-            params=tuple(c.params for c in combo),
-            audio=AudioBuffer(samples, words[0].sample_rate),
-            distortion_rank=len(issued),
-            verdict=None)
-        verdict = backend.transcribe(candidate.audio)
-        candidate = replace(candidate, verdict=verdict)
-        issued.append(candidate)
-        if verdict.accepted:
-            return candidate
-    return ExhaustionReport(tuple(issued), backend.queries_used)
+    rate = words[0].sample_rate
+    combos = (AttackCandidate(
+        params=tuple(c.params for c in combo),
+        audio=AudioBuffer(np.concatenate([c.audio.samples for c in combo]), rate),
+        distortion_rank=rank)
+        for rank, combo in enumerate(itertools.product(*per_word)))
+    return _first_accepted(backend, combos)
 
 
 # --- remote HTTP backend ----------------------------------------------------

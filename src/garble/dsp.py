@@ -1,5 +1,5 @@
-"""Shared signal kernels: framing, peak renormalization, FIR low-pass, SNR
-measurement."""
+"""Shared signal kernels: ms-to-samples conversion, framing, peak
+renormalization, FIR low-pass, SNR measurement."""
 
 from __future__ import annotations
 
@@ -14,6 +14,14 @@ def next_pow2(n: int) -> int:
     if n < 1:
         return 1
     return 1 << (n - 1).bit_length()
+
+
+def window_ms_to_samples(window_ms: float, sample_rate: int) -> int:
+    """Whole samples in a window of window_ms at sample_rate, at least one:
+    max(1, round(window_ms * sample_rate / 1000)). Rejects window_ms <= 0."""
+    if window_ms <= 0:
+        raise ValueError("window length in ms must be positive")
+    return max(1, round(window_ms * sample_rate / 1000.0))
 
 
 def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:

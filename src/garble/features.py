@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft
 
 from .audio_io import AudioBuffer
-from .dsp import frames, next_pow2
+from .dsp import frames, next_pow2, window_ms_to_samples
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
 
@@ -114,8 +114,8 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
     two, then |X|^2 (config.use_power) or |X|. Returns an
     (n_frames, fft_size//2 + 1) matrix.
     """
-    frame_len = max(1, round(config.frame_ms * audio.sample_rate / 1000.0))
-    hop = max(1, round(config.hop_ms * audio.sample_rate / 1000.0))
+    frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
+    hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
     x = audio.samples
     if len(x) < frame_len:
         raise ValueError("audio shorter than one analysis frame")
@@ -175,7 +175,7 @@ def max_window_magnitude_diff(a: AudioBuffer, b: AudioBuffer, window_ms: float) 
     """
     if a.sample_rate != b.sample_rate:
         raise ValueError("sample rates differ")
-    w = max(1, round(window_ms * a.sample_rate / 1000.0))
+    w = window_ms_to_samples(window_ms, a.sample_rate)
     n = min(len(a), len(b))
     xa, xb = a.samples[:n], b.samples[:n]
     full = n // w * w

@@ -12,7 +12,7 @@ Four primitives:
   dropping the rest, leaving the sample rate untouched.
 
 Window sizes are given in milliseconds and convert to whole samples via
-max(1, round(ms * rate / 1000)).
+dsp.window_ms_to_samples.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import frames, renormalize
-
-
-def window_ms_to_samples(window_ms: float, sample_rate: int) -> int:
-    if window_ms <= 0:
-        raise ValueError("window_ms must be positive")
-    return max(1, round(window_ms * sample_rate / 1000.0))
+from .dsp import frames, renormalize, window_ms_to_samples
 
 
 def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import frames
+from .dsp import frames, window_ms_to_samples
 
 FRAME_MS = 10.0
 MARGIN_DB = 9.0
@@ -59,7 +59,7 @@ def detect_speech(audio: AudioBuffer,
     hangover_frames, merged, and dropped when shorter than min_region_ms.
     """
     x = audio.samples
-    frame_len = max(1, round(frame_ms * audio.sample_rate / 1000.0))
+    frame_len = window_ms_to_samples(frame_ms, audio.sample_rate)
     if len(x) == 0:
         return []
     energies = frame_energies(x, frame_len)

@@ -1,16 +1,28 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is computed from first principles: explicit DFT matrices
-instead of np.fft, a hand-written DCT-II, a hand-built mel filterbank.
-Nothing imports from the package under test, so agreement between the two
-routes is evidence rather than tautology. The per-window loops at the end
-are the package's earlier loop implementations of rpg and the VAD frame
-energies, kept as references for the vectorized code.
+The signal references are computed from first principles: explicit DFT
+matrices instead of np.fft, a hand-written DCT-II, a hand-built mel
+filterbank. They import nothing from the package under test, so agreement
+between the two routes is evidence rather than tautology. The per-window
+loops after them are the package's earlier loop implementations of rpg and
+the VAD frame energies, kept as references for the vectorized code. The
+attack searches at the end are the package's earlier eager versions, which
+render the whole schedule before the first query; they reuse the package's
+renderer, features and types, so they pin down only the search order and
+the query accounting of the lazy versions.
 """
 
+import itertools
+import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
+
+from garble.attack import AttackCandidate, ExhaustionReport, distortion_key
+from garble.audio_io import AudioBuffer
+from garble.features import FeatureConfig, extract_features, feature_distance
+from garble.perturb import apply_params
 
 
 @lru_cache(maxsize=64)
@@ -192,3 +204,53 @@ def vad_energies_loop(x, frame_len):
         seg = x[i * frame_len:(i + 1) * frame_len]
         energies[i] = float(np.mean(seg ** 2))
     return energies
+
+
+def _rank_eager(audio, schedule):
+    """Render every schedule point, then stable-sort worst-sounding first and
+    stamp distortion_rank 0, 1, ..."""
+    rendered = [AttackCandidate(p, apply_params(audio, p)) for p in schedule]
+    ranked = sorted(rendered, key=lambda c: distortion_key(c.params))
+    return [replace(c, distortion_rank=i) for i, c in enumerate(ranked)]
+
+
+def _query_eager(backend, candidates):
+    issued = []
+    for cand in candidates:
+        if backend.queries_remaining == 0:
+            break
+        cand = replace(cand, verdict=backend.transcribe(cand.audio))
+        issued.append(cand)
+        if cand.verdict.accepted:
+            return cand
+    return ExhaustionReport(tuple(issued), backend.queries_used)
+
+
+def generic_attack_eager(source, backend, schedule):
+    """generic_attack rendering the whole schedule before the first query
+    (input checks left out)."""
+    return _query_eager(backend, _rank_eager(source, schedule))
+
+
+def improved_attack_eager(words, per_word_variants, backend, schedule,
+                          feature_threshold=math.inf,
+                          feature_config=FeatureConfig()):
+    """improved_attack rendering and filtering every word's whole schedule,
+    then building the concatenations as they are queried (input checks left
+    out)."""
+    per_word = []
+    for word in words:
+        ranked = _rank_eager(word, schedule)
+        if math.isfinite(feature_threshold):
+            ref = extract_features(word, feature_config)
+            ranked = [c for c in ranked if feature_distance(
+                extract_features(c.audio, feature_config), ref) <= feature_threshold]
+            if not ranked:
+                raise ValueError("a word has no variants under the feature threshold")
+        per_word.append(ranked[:per_word_variants])
+    combos = (AttackCandidate(
+        tuple(c.params for c in combo),
+        AudioBuffer(np.concatenate([c.audio.samples for c in combo]), words[0].sample_rate),
+        rank)
+        for rank, combo in enumerate(itertools.product(*per_word)))
+    return _query_eager(backend, combos)

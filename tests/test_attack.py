@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import garble.attack
 from garble.attack import (
     AttackCandidate,
     BackendError,
@@ -20,7 +21,6 @@ from garble.attack import (
     mock_oracle,
     normalize_phrase,
     phrase_matches,
-    rank_by_distortion,
     remote_transcriber,
     word_edit_distance,
 )
@@ -101,16 +101,6 @@ def test_distortion_key_ordering():
         PerturbationParams(tdi_window_ms=2.0))
 
 
-def test_rank_by_distortion_is_stable_and_stamped():
-    buf = random_buffer(65, 400)
-    a = AttackCandidate(PerturbationParams(tdi_window_ms=2.0), buf)
-    b = AttackCandidate(PerturbationParams(tdi_window_ms=1.0), buf)
-    c = AttackCandidate(PerturbationParams(rpg_window_ms=1.0), buf)  # ties b
-    ranked = rank_by_distortion([a, b, c])
-    assert [r.params for r in ranked] == [b.params, c.params, a.params]
-    assert [r.distortion_rank for r in ranked] == [0, 1, 2]
-
-
 # --- generic attack -------------------------------------------------------------
 
 
@@ -167,6 +157,40 @@ def test_generic_attack_validates_inputs():
     backend.transcribe(ref)  # spend one query
     with pytest.raises(ValueError):
         generic_attack(ref, backend, tdi_probe_schedule(count=2))
+
+
+@pytest.fixture
+def render_count(monkeypatch):
+    """Counts the candidates the search renders (calls of apply_params)."""
+    calls = []
+
+    def counting(audio, params):
+        calls.append(params)
+        return apply_params(audio, params)
+
+    monkeypatch.setattr(garble.attack, "apply_params", counting)
+    return calls
+
+
+def test_generic_attack_renders_only_queried_candidates(render_count):
+    ref, schedule, threshold, _ = attackable_fixture()
+    result = generic_attack(ref, mock_oracle(ref, "x", threshold), schedule)
+    assert result.distortion_rank == 2
+    assert len(render_count) == 3  # of 5 schedule points
+    render_count.clear()
+    result = generic_attack(ref, mock_oracle(ref, "x", threshold=0.0, budget=3), schedule)
+    assert isinstance(result, ExhaustionReport) and result.queries_used == 3
+    assert len(render_count) == 3
+
+
+def test_improved_attack_renders_k_variants_per_word(render_count):
+    words = [band_noise(76, duration_s=0.25), band_noise(77, duration_s=0.25)]
+    schedule = tdi_probe_schedule(count=5)
+    result = improved_attack(words, 2, mock_oracle(words[0], "x", threshold=0.0),
+                             schedule)
+    assert isinstance(result, ExhaustionReport) and result.queries_used == 4
+    assert len(render_count) == 4  # 2 per word, not the 5-point schedule
+    assert render_count == [schedule[0], schedule[1]] * 2
 
 
 def test_generic_attack_deterministic():

@@ -165,6 +165,13 @@ def test_compare_identical_files(wav_on_disk, capsys):
     assert float(lines["max_window_magnitude_rel_diff"]) == 0.0
 
 
+def test_compare_nonpositive_window_exits_2(wav_on_disk, capsys):
+    src = wav_on_disk(band_noise(99, duration_s=0.3))
+    for window_ms in ("0", "-5"):
+        assert main(["compare", str(src), str(src), "--window-ms", window_ms]) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_vad_prints_regions(wav_on_disk, capsys):
     buf, spans = burst_fixture(98, spans=((0.5, 1.0),))
     src = wav_on_disk(buf)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
+from garble.dsp import window_ms_to_samples
 from garble.perturb import (
     ParamGrid,
     PerturbationChain,
@@ -14,7 +15,6 @@ from garble.perturb import (
     tdi,
     tdi_probe_schedule,
     ts,
-    window_ms_to_samples,
 )
 from oracles import direct_window_mags
 from synth import SR, random_buffer

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from garble.audio_io import AudioBuffer
 from garble.perturb import rpg, tdi
@@ -14,6 +15,12 @@ def one_burst(span=(0.5, 1.0), duration_s=2.0, seed=101, amp=0.5):
 def test_silence_has_no_regions():
     assert detect_speech(AudioBuffer(np.zeros(16000), SR)) == []
     assert detect_speech(AudioBuffer(np.zeros(0), SR)) == []
+
+
+def test_nonpositive_frame_ms_is_rejected():
+    for frame_ms in (0.0, -10.0):
+        with pytest.raises(ValueError):
+            detect_speech(one_burst(), frame_ms=frame_ms)
 
 
 def test_uniform_noise_is_one_full_region():
