@@ -117,12 +117,6 @@ class MockOracle(TranscriberBackend):
         return False, ""
 
 
-def mock_oracle(reference: AudioBuffer, reference_transcript: str, threshold: float,
-                feature_config: FeatureConfig = FeatureConfig(),
-                budget: int = DEFAULT_QUERY_BUDGET) -> MockOracle:
-    return MockOracle(reference, reference_transcript, threshold, feature_config, budget)
-
-
 def calibrate_mock_threshold(references: list[AudioBuffer],
                              feature_config: FeatureConfig = FeatureConfig(),
                              n_trials: int = 5, seed: int = 0) -> float:
@@ -310,6 +304,15 @@ def load_remote_config(path: str) -> RemoteConfig:
         raise ValueError(f"unknown remote config keys: {sorted(unknown)}")
     if "url" not in raw:
         raise ValueError("remote config requires url")
+    for key, value in raw.items():
+        if key in ("budget", "max_word_edit_distance"):
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif key == "auth_env":
+            ok = value is None or isinstance(value, str)
+        else:
+            ok = isinstance(value, str)
+        if not ok:
+            raise ValueError(f"remote config {key} has the wrong type: {value!r}")
     return RemoteConfig(**raw)
 
 
@@ -361,11 +364,3 @@ class RemoteTranscriber(TranscriberBackend):
         accepted = phrase_matches(transcript, self.target_phrase,
                                   self.config.max_word_edit_distance)
         return accepted, transcript
-
-
-def remote_transcriber(config: RemoteConfig | str,
-                       target_phrase: str) -> RemoteTranscriber:
-    """Build the HTTP backend from a RemoteConfig or a JSON config path."""
-    if isinstance(config, str):
-        config = load_remote_config(config)
-    return RemoteTranscriber(config, target_phrase)

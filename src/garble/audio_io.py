@@ -103,9 +103,9 @@ def read_wav(data: bytes) -> AudioBuffer:
         samples = raw.astype(np.float64) / _PCM_FULL_SCALE
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        if not np.all(np.isfinite(raw)):  # before the cast, which warns on signalling NaN
             raise WavFormatError("float-32 data contains NaN or infinity")
+        samples = raw.astype(np.float64)
     else:
         raise UnsupportedCodecError(
             f"format tag {audio_format} at {bits} bits (PCM-16 or float-32 only)"
@@ -124,6 +124,8 @@ def write_wav(audio: AudioBuffer) -> bytes:
     is a pure function of (samples, rate), so equal buffers give identical
     bytes.
     """
+    if audio.sample_rate > 0x7FFFFFFF:  # the header's byte rate, 2 * rate, is 32-bit
+        raise ValueError(f"sample rate {audio.sample_rate} does not fit a WAV header")
     q = np.round(audio.samples * _PCM_WRITE_SCALE)
     q = np.clip(q, -32767, 32767).astype("<i2")
     payload = q.tobytes()

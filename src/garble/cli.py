@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import (BackendError, ExhaustionReport, generic_attack,
-                     load_remote_config, mock_oracle, remote_transcriber,
-                     DEFAULT_QUERY_BUDGET)
+from .attack import (BackendError, ExhaustionReport, MockOracle, RemoteTranscriber,
+                     generic_attack, load_remote_config, DEFAULT_QUERY_BUDGET)
 from .audio_io import AudioBuffer, WavFormatError, canonicalize, read_wav, write_wav
 from .channel import resolve_channel, simulate
 from .features import (FeatureConfig, extract_features, feature_distance,
@@ -183,13 +182,13 @@ def cmd_attack(args) -> int:
         if not ref_path:
             raise ValueError("mock backend spec is mock:REFERENCE.wav:THRESHOLD")
         budget = DEFAULT_QUERY_BUDGET if args.budget is None else args.budget
-        backend = mock_oracle(_load(ref_path), args.target_phrase,
-                              float(threshold), budget=budget)
+        backend = MockOracle(_load(ref_path), args.target_phrase,
+                             float(threshold), budget=budget)
     elif spec.startswith("remote:"):
         config = load_remote_config(spec[len("remote:"):])
         if args.budget is not None:
             config = replace(config, budget=args.budget)
-        backend = remote_transcriber(config, args.target_phrase)
+        backend = RemoteTranscriber(config, args.target_phrase)
     else:
         raise ValueError("backend must be mock:REF.wav:THRESHOLD or remote:CONFIG.json")
 
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "it while humans hear noise.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("perturb", help="apply one perturbation chain")
+    p = sub.add_parser("perturb", help="apply one perturbation point")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--tdi-ms", type=float, default=None)

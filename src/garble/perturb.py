@@ -17,8 +17,9 @@ dsp.window_ms_to_samples.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +100,11 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
     The sample rate field is left alone, so the audio simply plays faster
     and shorter. Factor 100 is the exact identity; factors below 100 are
     rejected (this primitive only ever drops samples).
+
+    With n input samples and s = factor/100 the output has
+    floor((n - 0.5) / s) + 1 samples (none for empty input), or one fewer
+    when (n - 0.5) / s is a whole number and round-half-to-even sends the
+    last index to n, past the end.
     """
     if factor_percent < 100.0:
         raise ValueError("ts factor must be >= 100 percent")
@@ -125,51 +131,22 @@ class PerturbationParams:
         object.__setattr__(self, "hfa_components", comps)
 
 
-@dataclass(frozen=True)
-class PerturbationChain:
-    """Explicitly ordered perturbation steps: ("tdi", {"window_ms": 1.0}), ..."""
-
-    steps: tuple[tuple[str, dict], ...] = ()
-
-    @classmethod
-    def from_params(cls, params: PerturbationParams) -> "PerturbationChain":
-        """Canonical composition order: ts, then tdi, then rpg, then hfa.
-
-        Time scaling first so window sizes act on the final timeline; the
-        additive tones last so their amplitude is not re-shuffled.
-        """
-        steps: list[tuple[str, dict]] = []
-        if params.ts_factor_percent is not None:
-            steps.append(("ts", {"factor_percent": params.ts_factor_percent}))
-        if params.tdi_window_ms is not None:
-            steps.append(("tdi", {"window_ms": params.tdi_window_ms}))
-        if params.rpg_window_ms is not None:
-            steps.append(("rpg", {"window_ms": params.rpg_window_ms,
-                                  "seed": params.rpg_seed}))
-        if params.hfa_components:
-            steps.append(("hfa", {"components": params.hfa_components}))
-        return cls(tuple(steps))
-
-
-def apply_chain(audio: AudioBuffer, chain: PerturbationChain) -> AudioBuffer:
-    """Run the chain steps in order. Any hfa rescale factor is absorbed."""
-    out = audio
-    for name, kwargs in chain.steps:
-        if name == "tdi":
-            out = tdi(out, **kwargs)
-        elif name == "rpg":
-            out = rpg(out, **kwargs)
-        elif name == "hfa":
-            out, _scale = hfa(out, **kwargs)
-        elif name == "ts":
-            out = ts(out, **kwargs)
-        else:
-            raise ValueError(f"unknown chain step {name!r}")
-    return out
-
-
 def apply_params(audio: AudioBuffer, params: PerturbationParams) -> AudioBuffer:
-    return apply_chain(audio, PerturbationChain.from_params(params))
+    """Apply the set axes of params in the fixed order ts, tdi, rpg, hfa.
+
+    Time scaling first so window sizes act on the final timeline; the
+    additive tones last so their amplitude is not re-shuffled. Any hfa
+    rescale factor is dropped.
+    """
+    if params.ts_factor_percent is not None:
+        audio = ts(audio, params.ts_factor_percent)
+    if params.tdi_window_ms is not None:
+        audio = tdi(audio, params.tdi_window_ms)
+    if params.rpg_window_ms is not None:
+        audio = rpg(audio, params.rpg_window_ms, seed=params.rpg_seed)
+    if params.hfa_components:
+        audio, _scale = hfa(audio, params.hfa_components)
+    return audio
 
 
 @dataclass(frozen=True)
@@ -186,15 +163,11 @@ class ParamGrid:
 def expand_grid(grid: ParamGrid) -> list[PerturbationParams]:
     """Cartesian product of the axes, deterministic lexicographic order
     (tdi-major, then rpg, hfa, ts)."""
-    out = []
-    for t in grid.tdi_window_ms:
-        for r in grid.rpg_window_ms:
-            for h in grid.hfa_components:
-                for s in grid.ts_factor_percent:
-                    out.append(PerturbationParams(
-                        tdi_window_ms=t, rpg_window_ms=r, rpg_seed=grid.rpg_seed,
-                        hfa_components=tuple(h), ts_factor_percent=s))
-    return out
+    return [PerturbationParams(tdi_window_ms=t, rpg_window_ms=r, rpg_seed=grid.rpg_seed,
+                               hfa_components=tuple(h), ts_factor_percent=s)
+            for t, r, h, s in itertools.product(
+                grid.tdi_window_ms, grid.rpg_window_ms, grid.hfa_components,
+                grid.ts_factor_percent)]
 
 
 def tdi_probe_schedule(start_ms: float = 1.0, step_ms: float = 0.5,

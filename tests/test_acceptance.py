@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from garble.attack import AttackCandidate, generic_attack, mock_oracle
+from garble.attack import AttackCandidate, MockOracle, generic_attack
 from garble.audio_io import AudioBuffer, read_wav, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.cli import main
@@ -53,7 +53,7 @@ def fixture(seed):
 def probe_distances(seed, axis):
     """Feature distance from fixture(seed) to each scheduled probe."""
     ref = fixture(seed)
-    gauge = mock_oracle(ref, "x", threshold=0.0, budget=1)
+    gauge = MockOracle(ref, "x", threshold=0.0, budget=1)
     dists = []
     for p in tdi_probe_schedule():
         if axis == "rpg":
@@ -171,7 +171,7 @@ def test_ac07_mock_attack_query_economics():
         # tuned threshold: first acceptance exactly at the 2.0 ms probe
         assert dists[2] < min(dists[0], dists[1])
         tuned = (dists[2] + min(dists[0], dists[1])) / 2.0
-        backend = mock_oracle(ref, "open the door", tuned)
+        backend = MockOracle(ref, "open the door", tuned)
         result = generic_attack(ref, backend, schedule)
         assert isinstance(result, AttackCandidate)
         assert result.params.tdi_window_ms == 2.0
@@ -181,7 +181,7 @@ def test_ac07_mock_attack_query_economics():
         rng = np.random.default_rng(1007)
         for _ in range(20):
             threshold = float(rng.uniform(min(dists), max(dists)))
-            backend = mock_oracle(ref, "open the door", threshold)
+            backend = MockOracle(ref, "open the door", threshold)
             result = generic_attack(ref, backend, schedule)
             assert isinstance(result, AttackCandidate), threshold
             assert result.verdict.query_index <= 10
@@ -200,7 +200,7 @@ def test_ac08_monotone_acceptance_in_window():
             # bind the flags to live oracle verdicts once per fixture
             ref = fixture(seed)
             mid = (lo + hi) / 2.0
-            backend = mock_oracle(ref, "x", mid, budget=10)
+            backend = MockOracle(ref, "x", mid, budget=10)
             verdicts = []
             for w in SCHEDULE_WINDOWS:
                 probe = apply_params(ref, PerturbationParams(rpg_window_ms=w))
@@ -281,7 +281,7 @@ def test_ac12_harsh_channel_needs_larger_windows():
     with criterion(12, "harsh channel shifts acceptance to larger windows", 60.0):
         for seed in (1, 2, 3):
             ref = fixture(seed)
-            gauge = mock_oracle(ref, "x", threshold=0.0, budget=1)
+            gauge = MockOracle(ref, "x", threshold=0.0, budget=1)
             d_line, d_harsh = [], []
             for w in SCHEDULE_WINDOWS:
                 probe = apply_params(ref, PerturbationParams(tdi_window_ms=w))

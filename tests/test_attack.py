@@ -12,16 +12,16 @@ from garble.attack import (
     BackendError,
     BudgetExceededError,
     ExhaustionReport,
+    MockOracle,
     RemoteConfig,
+    RemoteTranscriber,
     calibrate_mock_threshold,
     distortion_key,
     generic_attack,
     improved_attack,
     load_remote_config,
-    mock_oracle,
     normalize_phrase,
     phrase_matches,
-    remote_transcriber,
     word_edit_distance,
 )
 from garble.audio_io import AudioBuffer, read_wav
@@ -34,7 +34,7 @@ from synth import band_noise, random_buffer
 
 def test_budget_enforced():
     ref = band_noise(60, duration_s=0.5)
-    backend = mock_oracle(ref, "ok", threshold=np.inf, budget=2)
+    backend = MockOracle(ref, "ok", threshold=np.inf, budget=2)
     assert backend.queries_remaining == 2
     v1 = backend.transcribe(ref)
     v2 = backend.transcribe(ref)
@@ -43,16 +43,16 @@ def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         backend.transcribe(ref)
     with pytest.raises(ValueError):
-        mock_oracle(ref, "ok", threshold=1.0, budget=0)
+        MockOracle(ref, "ok", threshold=1.0, budget=0)
 
 
 def test_mock_oracle_thresholds():
     ref = band_noise(61, duration_s=0.5)
-    accept_all = mock_oracle(ref, "open the door", threshold=np.inf)
+    accept_all = MockOracle(ref, "open the door", threshold=np.inf)
     verdict = accept_all.transcribe(random_buffer(62, len(ref)))
     assert verdict.accepted and verdict.transcript == "open the door"
 
-    exact_only = mock_oracle(ref, "open the door", threshold=0.0)
+    exact_only = MockOracle(ref, "open the door", threshold=0.0)
     assert exact_only.transcribe(ref).accepted
     rejected = exact_only.transcribe(apply_params(
         ref, PerturbationParams(tdi_window_ms=1.0)))
@@ -62,7 +62,7 @@ def test_mock_oracle_thresholds():
 def test_mock_oracle_rejects_white_noise_at_calibrated_threshold():
     refs = [band_noise(s, duration_s=0.5) for s in (63, 64)]
     threshold = calibrate_mock_threshold(refs)
-    backend = mock_oracle(refs[0], "ok", threshold)
+    backend = MockOracle(refs[0], "ok", threshold)
     noise = AudioBuffer(np.random.default_rng(0).normal(0.0, 0.1, 8000), 16000)
     assert not backend.transcribe(noise).accepted
     # feature-preserving scramble sits under the same threshold
@@ -108,7 +108,7 @@ def attackable_fixture(seed=1):
     """Reference plus a schedule whose third-ranked probe is the winner."""
     ref = band_noise(seed, duration_s=0.5)
     schedule = tdi_probe_schedule(count=5)
-    probe = mock_oracle(ref, "x", threshold=0.0, budget=1)  # only for distances
+    probe = MockOracle(ref, "x", threshold=0.0, budget=1)  # only for distances
     dists = [probe.distance_to_reference(apply_params(ref, p)) for p in schedule]
     assert dists[2] < min(dists[0], dists[1])  # fixture precondition
     threshold = (dists[2] + min(dists[0], dists[1])) / 2.0
@@ -117,7 +117,7 @@ def attackable_fixture(seed=1):
 
 def test_generic_attack_returns_most_distorted_accepted():
     ref, schedule, threshold, _ = attackable_fixture()
-    backend = mock_oracle(ref, "open the door", threshold)
+    backend = MockOracle(ref, "open the door", threshold)
     result = generic_attack(ref, backend, schedule)
     assert isinstance(result, AttackCandidate)
     assert result.verdict is not None and result.verdict.accepted
@@ -129,7 +129,7 @@ def test_generic_attack_returns_most_distorted_accepted():
 
 def test_generic_attack_exhaustion_report():
     ref, schedule, _, _ = attackable_fixture()
-    backend = mock_oracle(ref, "x", threshold=0.0)  # nothing will pass
+    backend = MockOracle(ref, "x", threshold=0.0)  # nothing will pass
     result = generic_attack(ref, backend, schedule)
     assert isinstance(result, ExhaustionReport)
     assert backend.queries_used == len(schedule)
@@ -141,7 +141,7 @@ def test_generic_attack_exhaustion_report():
 
 def test_generic_attack_stops_at_budget_without_raising():
     ref, schedule, _, _ = attackable_fixture()
-    backend = mock_oracle(ref, "x", threshold=0.0, budget=3)
+    backend = MockOracle(ref, "x", threshold=0.0, budget=3)
     result = generic_attack(ref, backend, schedule)
     assert isinstance(result, ExhaustionReport)
     assert result.queries_used == 3
@@ -151,7 +151,7 @@ def test_generic_attack_stops_at_budget_without_raising():
 
 def test_generic_attack_validates_inputs():
     ref = band_noise(66, duration_s=0.5)
-    backend = mock_oracle(ref, "x", threshold=np.inf)
+    backend = MockOracle(ref, "x", threshold=np.inf)
     with pytest.raises(ValueError):
         generic_attack(ref, backend, [])
     backend.transcribe(ref)  # spend one query
@@ -174,11 +174,11 @@ def render_count(monkeypatch):
 
 def test_generic_attack_renders_only_queried_candidates(render_count):
     ref, schedule, threshold, _ = attackable_fixture()
-    result = generic_attack(ref, mock_oracle(ref, "x", threshold), schedule)
+    result = generic_attack(ref, MockOracle(ref, "x", threshold), schedule)
     assert result.distortion_rank == 2
     assert len(render_count) == 3  # of 5 schedule points
     render_count.clear()
-    result = generic_attack(ref, mock_oracle(ref, "x", threshold=0.0, budget=3), schedule)
+    result = generic_attack(ref, MockOracle(ref, "x", threshold=0.0, budget=3), schedule)
     assert isinstance(result, ExhaustionReport) and result.queries_used == 3
     assert len(render_count) == 3
 
@@ -186,7 +186,7 @@ def test_generic_attack_renders_only_queried_candidates(render_count):
 def test_improved_attack_renders_k_variants_per_word(render_count):
     words = [band_noise(76, duration_s=0.25), band_noise(77, duration_s=0.25)]
     schedule = tdi_probe_schedule(count=5)
-    result = improved_attack(words, 2, mock_oracle(words[0], "x", threshold=0.0),
+    result = improved_attack(words, 2, MockOracle(words[0], "x", threshold=0.0),
                              schedule)
     assert isinstance(result, ExhaustionReport) and result.queries_used == 4
     assert len(render_count) == 4  # 2 per word, not the 5-point schedule
@@ -195,8 +195,8 @@ def test_improved_attack_renders_k_variants_per_word(render_count):
 
 def test_generic_attack_deterministic():
     ref, schedule, threshold, _ = attackable_fixture()
-    a = generic_attack(ref, mock_oracle(ref, "x", threshold), schedule)
-    b = generic_attack(ref, mock_oracle(ref, "x", threshold), schedule)
+    a = generic_attack(ref, MockOracle(ref, "x", threshold), schedule)
+    b = generic_attack(ref, MockOracle(ref, "x", threshold), schedule)
     assert np.array_equal(a.audio.samples, b.audio.samples)
 
 
@@ -206,7 +206,7 @@ def test_generic_attack_deterministic():
 def test_improved_attack_orders_combinations_lexicographically():
     words = [band_noise(70, duration_s=0.3), band_noise(71, duration_s=0.3)]
     schedule = tdi_probe_schedule(count=3)
-    backend = mock_oracle(words[0], "x", threshold=0.0, budget=9)
+    backend = MockOracle(words[0], "x", threshold=0.0, budget=9)
     result = improved_attack(words, 3, backend, schedule)
     assert isinstance(result, ExhaustionReport)
     assert result.queries_used == 9
@@ -220,7 +220,7 @@ def test_improved_attack_orders_combinations_lexicographically():
 def test_improved_attack_concatenates_word_variants():
     words = [band_noise(72, duration_s=0.25), band_noise(73, duration_s=0.25)]
     schedule = tdi_probe_schedule(count=2)
-    backend = mock_oracle(words[0], "go", threshold=np.inf)  # accept first combo
+    backend = MockOracle(words[0], "go", threshold=np.inf)  # accept first combo
     result = improved_attack(words, 2, backend, schedule)
     assert isinstance(result, AttackCandidate)
     assert backend.queries_used == 1
@@ -234,23 +234,23 @@ def test_improved_attack_concatenates_word_variants():
 def test_improved_attack_local_filter_prunes_variants():
     word = band_noise(74, duration_s=0.5)
     schedule = tdi_probe_schedule(count=5)
-    probe = mock_oracle(word, "x", threshold=0.0, budget=1)
+    probe = MockOracle(word, "x", threshold=0.0, budget=1)
     dists = [probe.distance_to_reference(apply_params(word, p)) for p in schedule]
     # allow only the two cleanest probes through the local pre-filter
     cutoff = sorted(dists)[1]
-    backend = mock_oracle(word, "x", threshold=0.0, budget=10)
+    backend = MockOracle(word, "x", threshold=0.0, budget=10)
     result = improved_attack([word], 5, backend, schedule,
                              feature_threshold=cutoff + 1e-12)
     assert isinstance(result, ExhaustionReport)
     assert result.queries_used == 2  # 3 of 5 variants were filtered out locally
     with pytest.raises(ValueError):
-        improved_attack([word], 5, mock_oracle(word, "x", 0.0), schedule,
+        improved_attack([word], 5, MockOracle(word, "x", 0.0), schedule,
                         feature_threshold=0.0)
 
 
 def test_improved_attack_validates_inputs():
     word = band_noise(75, duration_s=0.25)
-    backend = mock_oracle(word, "x", threshold=np.inf)
+    backend = MockOracle(word, "x", threshold=np.inf)
     with pytest.raises(ValueError):
         improved_attack([], 2, backend, tdi_probe_schedule(count=2))
     with pytest.raises(ValueError):
@@ -332,7 +332,7 @@ def test_remote_backend_roundtrip(stub_server):
         (200, json.dumps({"result": [{"transcript": "open the door"}]}).encode())]
     config = RemoteConfig(url=_url(stub_server),
                           transcript_json_path="result.0.transcript", budget=3)
-    backend = remote_transcriber(config, "open the door")
+    backend = RemoteTranscriber(config, "open the door")
     audio = band_noise(80, duration_s=0.1)
     verdict = backend.transcribe(audio)
     assert verdict.accepted and verdict.transcript == "open the door"
@@ -348,7 +348,7 @@ def test_remote_backend_sends_bearer_token(stub_server, monkeypatch):
     stub_server.responses = [(200, json.dumps({"transcript": "nope"}).encode())]
     monkeypatch.setenv("STT_TOKEN", "sekret")
     config = RemoteConfig(url=_url(stub_server), auth_env="STT_TOKEN")
-    backend = remote_transcriber(config, "open the door")
+    backend = RemoteTranscriber(config, "open the door")
     verdict = backend.transcribe(band_noise(81, duration_s=0.1))
     assert not verdict.accepted and verdict.transcript == "nope"
     assert stub_server.requests[0]["headers"]["Authorization"] == "Bearer sekret"
@@ -357,7 +357,7 @@ def test_remote_backend_sends_bearer_token(stub_server, monkeypatch):
 def test_remote_backend_missing_token_costs_nothing(stub_server, monkeypatch):
     monkeypatch.delenv("NO_SUCH_TOKEN", raising=False)
     config = RemoteConfig(url=_url(stub_server), auth_env="NO_SUCH_TOKEN")
-    backend = remote_transcriber(config, "x")
+    backend = RemoteTranscriber(config, "x")
     with pytest.raises(BackendError):
         backend.transcribe(band_noise(82, duration_s=0.1))
     assert backend.queries_used == 0
@@ -370,7 +370,7 @@ def test_remote_backend_unreachable_costs_nothing():
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    backend = remote_transcriber(
+    backend = RemoteTranscriber(
         RemoteConfig(url=f"http://127.0.0.1:{port}/t"), "x")
     with pytest.raises(BackendError):
         backend.transcribe(band_noise(83, duration_s=0.05))
@@ -383,7 +383,7 @@ def test_remote_backend_bad_responses_cost_nothing(stub_server):
     audio = band_noise(84, duration_s=0.05)
 
     stub_server.responses = [(200, b"this is not json")]
-    backend = remote_transcriber(config, "x")
+    backend = RemoteTranscriber(config, "x")
     with pytest.raises(BackendError):
         backend.transcribe(audio)
     assert backend.queries_used == 0
@@ -409,7 +409,7 @@ def test_remote_backend_bad_responses_cost_nothing(stub_server):
 
 def test_remote_backend_http_error_costs_nothing(stub_server):
     stub_server.responses = [(500, b"boom")]
-    backend = remote_transcriber(RemoteConfig(url=_url(stub_server)), "x")
+    backend = RemoteTranscriber(RemoteConfig(url=_url(stub_server)), "x")
     with pytest.raises(BackendError):
         backend.transcribe(band_noise(85, duration_s=0.05))
     assert backend.queries_used == 0
@@ -426,6 +426,8 @@ def test_load_remote_config(tmp_path):
     assert config.url == "http://example.invalid/stt"
     assert config.budget == 4
     assert config.method == "POST"
+    path.write_text(json.dumps({"url": "http://x", "auth_env": None}))
+    assert load_remote_config(str(path)).auth_env is None
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"url": "http://x", "tokens": "nope"}))
@@ -441,12 +443,24 @@ def test_load_remote_config(tmp_path):
         load_remote_config(str(notobj))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("url", 5), ("method", None), ("content_type", ["audio/wav"]),
+    ("transcript_json_path", 0), ("auth_env", 1), ("budget", "3"),
+    ("budget", 3.0), ("budget", True), ("max_word_edit_distance", "2"),
+    ("max_word_edit_distance", False)])
+def test_load_remote_config_rejects_bad_types(tmp_path, key, value):
+    path = tmp_path / "remote.json"
+    path.write_text(json.dumps({"url": "http://x", key: value}))
+    with pytest.raises(ValueError, match=key):
+        load_remote_config(str(path))
+
+
 def test_generic_attack_over_remote_backend(stub_server):
     # reject twice, then accept with a near-miss transcript
     reject = json.dumps({"transcript": "static hiss"}).encode()
     accept = json.dumps({"transcript": "open the dor"}).encode()
     stub_server.responses = [(200, reject), (200, reject), (200, accept)]
-    backend = remote_transcriber(
+    backend = RemoteTranscriber(
         RemoteConfig(url=_url(stub_server), budget=10), "open the door")
     ref = band_noise(86, duration_s=0.2)
     result = generic_attack(ref, backend, tdi_probe_schedule(count=5))

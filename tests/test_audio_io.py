@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ def test_read_float32_rejects_nonfinite(bad):
         read_wav(make_wav(3, 1, 16000, 32, vals.tobytes()))
 
 
+def test_read_float32_signalling_nan_raises_without_warning():
+    snan = struct.pack("<3I", 0x3E800000, 0x7F810000, 0xBF000000)  # 0.25, sNaN, -0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WavFormatError, match="NaN or infinity"):
+            read_wav(make_wav(3, 1, 16000, 32, snan))
+
+
 def test_read_rejects_unsupported_codecs():
     with pytest.raises(UnsupportedCodecError):
         read_wav(make_wav(6, 1, 8000, 8, b"\x00\x00"))  # a-law
@@ -125,6 +134,12 @@ def test_write_header_fields():
     fmt_tag, channels, rate = struct.unpack("<HHI", raw[20:28])
     assert (fmt_tag, channels, rate) == (1, 1, 44100)
     assert len(raw) == 44 + 10
+
+
+def test_write_rejects_rate_too_large_for_header():
+    assert len(write_wav(AudioBuffer(np.zeros(1), 2**31 - 1))) == 46
+    with pytest.raises(ValueError, match="does not fit"):
+        write_wav(AudioBuffer(np.zeros(1), 2**31))
 
 
 def test_roundtrip_error_bound():

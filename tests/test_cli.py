@@ -265,13 +265,22 @@ def test_attack_budget_flag_overrides_remote_config(tmp_path, wav_on_disk, capsy
         seen.append(config)
         raise BackendError("captured")  # stop before any request
 
-    monkeypatch.setattr("garble.cli.remote_transcriber", capture)
+    monkeypatch.setattr("garble.cli.RemoteTranscriber", capture)
     src = wav_on_disk(band_noise(7, duration_s=0.2))
     code = main(["attack", str(src), "--target-phrase", "x",
                  "--backend", f"remote:{config_path}", *flag])
     assert code == 1
     assert [c.budget for c in seen] == [want]
     capsys.readouterr()
+
+
+def test_attack_badly_typed_remote_config_exits_2(tmp_path, wav_on_disk, capsys):
+    config_path = tmp_path / "stt.json"
+    config_path.write_text(json.dumps({"url": "http://localhost:9/stt", "budget": "3"}))
+    src = wav_on_disk(band_noise(8, duration_s=0.2))
+    assert main(["attack", str(src), "--target-phrase", "x",
+                 "--backend", f"remote:{config_path}"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_spectrogram_writes_pgm(tmp_path, wav_on_disk):

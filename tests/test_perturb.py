@@ -5,9 +5,7 @@ from garble.audio_io import AudioBuffer
 from garble.dsp import window_ms_to_samples
 from garble.perturb import (
     ParamGrid,
-    PerturbationChain,
     PerturbationParams,
-    apply_chain,
     apply_params,
     expand_grid,
     hfa,
@@ -215,17 +213,6 @@ def test_apply_params_matches_manual_composition():
     got = apply_params(buf, params)
     want, _ = hfa(rpg(tdi(ts(buf, 150.0), 1.0), 2.0, seed=7), ((7500.0, 0.05),))
     assert np.array_equal(got.samples, want.samples)
-
-
-def test_chain_respects_explicit_order():
-    buf = random_buffer(13, 4000)
-    chain = PerturbationChain((("tdi", {"window_ms": 1.0}),
-                               ("ts", {"factor_percent": 200.0})))
-    got = apply_chain(buf, chain)
-    want = ts(tdi(buf, 1.0), 200.0)
-    assert np.array_equal(got.samples, want.samples)
-    with pytest.raises(ValueError):
-        apply_chain(buf, PerturbationChain((("warp", {}),)))
 
 
 def test_empty_params_is_identity():

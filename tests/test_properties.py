@@ -1,20 +1,25 @@
 """Property tests: the framing kernel, the vectorized per-window code and
 the lazy attack searches against their definitions and the references in
-oracles.py, over arbitrary lengths, windows, seeds, schedules and budgets."""
+oracles.py, over arbitrary lengths, windows, seeds, schedules and budgets;
+VAD scale covariance, the WAV and manifest round-trips, and read_wav on
+arbitrary and damaged bytes."""
 
 import math
+import struct
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garble.attack import AttackCandidate, generic_attack, improved_attack, mock_oracle
-from garble.audio_io import AudioBuffer
+from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_attack
+from garble.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
+from garble.cli import format_manifest_line, parse_manifest_line
 from garble.dsp import frames, window_ms_to_samples
 from garble.features import extract_features, feature_distance
 from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
-from garble.vad import frame_energies
+from garble.vad import detect_speech, frame_energies
 from oracles import generic_attack_eager, improved_attack_eager, rpg_loop, vad_energies_loop
 from synth import SR, band_noise
 
@@ -99,6 +104,135 @@ def test_ts_length_and_selection_law(n, factor, seed):
     assert round(len(out) * s) >= n  # no further sample fits
 
 
+# --- VAD, WAV and manifest ------------------------------------------------------
+
+
+def bursts(n, seed):
+    """Uniform noise in segments of 50-800 samples, each at one of four
+    levels (digital silence included), so the detector finds regions."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    start = 0
+    while start < n:
+        stop = start + int(rng.integers(50, 800))
+        x[start:stop] *= rng.choice([0.0, 1e-3, 0.05, 0.5])
+        start = stop
+    return x
+
+
+@bounded
+@given(n=lengths, seed=seeds, power=st.integers(-20, 20),
+       frame_ms=st.sampled_from([1.0, 5.0, 10.0, 20.0]))
+def test_vad_regions_are_scale_covariant(n, seed, power, frame_ms):
+    # a power-of-two gain scales every energy, percentile and threshold
+    # exactly, so the frame decisions cannot move
+    x = bursts(n, seed)
+    regions = detect_speech(AudioBuffer(x, SR), frame_ms)
+    assert detect_speech(AudioBuffer(x * 2.0 ** power, SR), frame_ms) == regions
+
+
+@bounded
+@given(n=lengths, seed=seeds, rate=st.integers(1, 2**31 - 1))
+def test_wav_roundtrip_keeps_rate_length_and_level(n, seed, rate):
+    x = signal(n, seed)
+    back = read_wav(write_wav(AudioBuffer(x, rate)))
+    assert back.sample_rate == rate and len(back) == n
+    # one 16-bit step up to half scale; the 32767 write and 32768 read
+    # scales stretch it to 1.5 steps at full scale (test_roundtrip_error_bound)
+    assert np.all(np.abs(back.samples - x) <= (0.5 + np.abs(x)) / 32768.0 + 1e-12)
+
+
+manifest_floats = st.floats(allow_nan=False)
+
+
+@bounded
+@given(name=st.text("abcxyz0189._-", max_size=20),
+       params=st.builds(PerturbationParams,
+                        tdi_window_ms=st.none() | manifest_floats,
+                        rpg_window_ms=st.none() | manifest_floats,
+                        rpg_seed=st.integers(0, 2**63),
+                        hfa_components=st.lists(st.tuples(manifest_floats, manifest_floats),
+                                                max_size=3).map(tuple),
+                        ts_factor_percent=st.none() | manifest_floats))
+def test_manifest_line_roundtrip(name, params):
+    got_name, got = parse_manifest_line(format_manifest_line(name, params) + "\n")
+    assert got_name == name
+    if params.rpg_window_ms is None:
+        params = replace(params, rpg_seed=0)  # the seed is written with rpg only
+    assert got == params
+
+
+def read_wav_or_format_error(data):
+    try:
+        out = read_wav(data)
+    except WavFormatError:
+        return
+    assert isinstance(out, AudioBuffer)
+
+
+def riff(chunks):
+    """A RIFF/WAVE stream of (id, declared size, body) chunks; the declared
+    size may lie about the body."""
+    return b"RIFF\x00\x00\x00\x00WAVE" + b"".join(
+        cid + struct.pack("<I", size) + body for cid, size, body in chunks)
+
+
+def chunk(cid, body, lie=st.integers(-20, 8)):
+    """A chunk whose declared size is off by lie bytes (never below 0)."""
+    return st.tuples(cid, lie, body).map(lambda c: (c[0], max(0, len(c[2]) + c[1]), c[2]))
+
+
+fmt_bodies = st.builds(
+    lambda codec, channels, rate, extra:
+        struct.pack("<HHIIHH", codec[0], channels, rate, 0, 0, codec[1]) + extra,
+    st.sampled_from([(1, 16), (3, 32)])
+    | st.tuples(st.integers(0, 4), st.sampled_from([8, 16, 32])),
+    st.sampled_from([1, 2]) | st.integers(0, 3),
+    st.sampled_from([0, 1, 16000, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    st.binary(max_size=4))
+samples32 = st.sampled_from([0.5, -np.inf, np.nan]) | st.floats(width=32)
+data_bodies = st.binary(max_size=40) | st.lists(samples32, max_size=8).map(
+    lambda values: np.array(values, "<f4").tobytes())
+fmt_chunks = chunk(st.just(b"fmt "), fmt_bodies)
+data_chunks = chunk(st.just(b"data"), data_bodies)
+streams = (st.binary(max_size=128)
+           | st.tuples(chunk(st.just(b"fmt "), fmt_bodies, st.just(0)),
+                       chunk(st.just(b"data"), data_bodies, st.just(0))).map(riff)
+           | st.lists(fmt_chunks | data_chunks
+                      | chunk(st.binary(min_size=4, max_size=4), st.binary(max_size=12)),
+                      max_size=4).map(riff))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=streams)
+def test_read_wav_on_arbitrary_bytes(data):
+    read_wav_or_format_error(data)
+
+
+def float32_stereo_wav():
+    fmt = struct.pack("<HHIIHH", 3, 2, 8000, 64000, 8, 32)
+    frames_ = np.array([0.25, -0.5, 1.0, 0.0, -1.0, 0.125], "<f4").tobytes()
+    body = (b"WAVE" + b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+            + b"fmt " + struct.pack("<I", 16) + fmt
+            + b"data" + struct.pack("<I", len(frames_)) + frames_)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+VALID_WAVS = (write_wav(AudioBuffer(np.linspace(-1.0, 1.0, 7), SR)), float32_stereo_wav())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(base=st.sampled_from(VALID_WAVS),
+       edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=6),
+       cut=st.integers(0, 200), insert=st.binary(max_size=8), at=st.integers(0, 200))
+def test_read_wav_on_damaged_wavs(base, edits, cut, insert, at):
+    data = bytearray(base)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    data[at:at] = insert
+    read_wav_or_format_error(bytes(data[:len(data) - cut % (len(data) + 1)]))
+
+
 # --- lazy attack searches against the eager references -------------------------
 
 # tdi 1.0 and rpg 1.0 tie on distortion_key, as do the two rpg 2.0 seeds
@@ -160,7 +294,7 @@ def test_generic_attack_matches_eager_reference(schedule, budget, cut):
     source = concat(words(201, 202))
     threshold = cuts(201, 202)[cut]
     lazy, eager = (outcome(lambda backend: search(source, backend, schedule),
-                           mock_oracle(source, "go", threshold, budget=budget))
+                           MockOracle(source, "go", threshold, budget=budget))
                    for search in (generic_attack, generic_attack_eager))
     assert lazy == eager
 
@@ -175,6 +309,6 @@ def test_improved_attack_matches_eager_reference(schedule, k, budget, cut, word_
     feature_threshold = sorted({*cuts(203), *cuts(204)})[word_cut]
     lazy, eager = (outcome(lambda backend: search(pair, k, backend, schedule,
                                                   feature_threshold=feature_threshold),
-                           mock_oracle(concat(pair), "go", threshold, budget=budget))
+                           MockOracle(concat(pair), "go", threshold, budget=budget))
                    for search in (improved_attack, improved_attack_eager))
     assert lazy == eager
