@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
+from .dsp import window_ms_to_samples
 from .features import FeatureConfig, FeatureMatrix, extract_features, feature_distance
 from .perturb import PerturbationParams, apply_params, rpg
 
@@ -94,7 +95,13 @@ class TranscriberBackend:
 
 class MockOracle(TranscriberBackend):
     """Accepts audio whose feature distance to a reference stays under a
-    threshold; stands in for a real model during tests and calibration."""
+    threshold; stands in for a real model during tests and calibration.
+
+    Audio shorter than one analysis frame has no features: it is rejected
+    with an empty transcript and the query is spent, as a real recognizer
+    given a few ms of audio hears nothing. distance_to_reference still
+    raises ValueError on such audio, which has no distance.
+    """
 
     def __init__(self, reference: AudioBuffer, reference_transcript: str,
                  threshold: float, feature_config: FeatureConfig = FeatureConfig(),
@@ -112,6 +119,8 @@ class MockOracle(TranscriberBackend):
                                 self._reference_features)
 
     def _evaluate(self, audio: AudioBuffer) -> tuple[bool, str]:
+        if len(audio) < window_ms_to_samples(self.feature_config.frame_ms, audio.sample_rate):
+            return False, ""
         if self.distance_to_reference(audio) <= self.threshold:
             return True, self.reference_transcript
         return False, ""

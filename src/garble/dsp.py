@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 
 from .audio_io import AudioBuffer
 
@@ -69,7 +70,8 @@ def design_lowpass(cutoff_hz: float, sample_rate: int,
     """Hamming windowed-sinc low-pass taps, odd length, unit DC gain.
 
     The default order is lowpass_length(cutoff_hz, sample_rate). Cutoff at
-    Nyquist degenerates to a unit impulse (exact pass-through).
+    Nyquist degenerates to a unit impulse, which apply_fir passes through
+    to rounding (~1e-16).
     """
     nyquist = sample_rate / 2.0
     if not 0.0 < cutoff_hz <= nyquist:
@@ -86,15 +88,19 @@ def design_lowpass(cutoff_hz: float, sample_rate: int,
 
 
 def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
-    """Convolve and compensate the (numtaps-1)/2 group delay; length preserved."""
+    """Convolve by FFT and compensate the (numtaps-1)/2 group delay; length
+    preserved. Matches direct convolution to rounding, not bit for bit."""
     numtaps = len(taps)
     if numtaps % 2 == 0:
         raise ValueError("only odd-length (linear-phase, integer-delay) taps")
-    if len(audio.samples) == 0:
+    n = len(audio.samples)
+    if n == 0:
         return audio
-    full = np.convolve(audio.samples, taps)
+    size = scipy.fft.next_fast_len(n + numtaps - 1, real=True)
+    product = scipy.fft.rfft(audio.samples, size) * scipy.fft.rfft(taps, size)
+    full = scipy.fft.irfft(product, size)
     delay = (numtaps - 1) // 2
-    return AudioBuffer(full[delay:delay + len(audio.samples)], audio.sample_rate)
+    return AudioBuffer(full[delay:delay + n], audio.sample_rate)
 
 
 def low_pass(audio: AudioBuffer, cutoff_hz: float) -> AudioBuffer:

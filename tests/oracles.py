@@ -5,7 +5,8 @@ matrices instead of np.fft, a hand-written DCT-II, a hand-built mel
 filterbank. They import nothing from the package under test, so agreement
 between the two routes is evidence rather than tautology. The per-window
 loops after them are the package's earlier loop implementations of rpg and
-the VAD frame energies, kept as references for the vectorized code. The
+the VAD frame energies, kept as references for the vectorized code, and
+its earlier direct-convolution FIR, the reference for the FFT one. The
 attack searches at the end are the package's earlier eager versions, which
 render the whole schedule before the first query; they reuse the package's
 renderer, features and types, so they pin down only the search order and
@@ -204,6 +205,19 @@ def vad_energies_loop(x, frame_len):
         seg = x[i * frame_len:(i + 1) * frame_len]
         energies[i] = float(np.mean(seg ** 2))
     return energies
+
+
+def apply_fir_direct(audio, taps):
+    """dsp.apply_fir by direct np.convolve: full convolution, then the
+    (numtaps-1)/2 group delay compensated; length preserved."""
+    numtaps = len(taps)
+    if numtaps % 2 == 0:
+        raise ValueError("only odd-length (linear-phase, integer-delay) taps")
+    if len(audio.samples) == 0:
+        return audio
+    full = np.convolve(audio.samples, taps)
+    delay = (numtaps - 1) // 2
+    return AudioBuffer(full[delay:delay + len(audio.samples)], audio.sample_rate)
 
 
 def _rank_eager(audio, schedule):

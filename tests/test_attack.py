@@ -15,6 +15,7 @@ from garble.attack import (
     MockOracle,
     RemoteConfig,
     RemoteTranscriber,
+    TranscriberVerdict,
     calibrate_mock_threshold,
     distortion_key,
     generic_attack,
@@ -147,6 +148,20 @@ def test_generic_attack_stops_at_budget_without_raising():
     assert result.queries_used == 3
     assert len(result.candidates) == 3
     assert backend.queries_remaining == 0
+
+
+def test_generic_attack_spends_a_query_on_audio_shorter_than_a_frame():
+    # ts 400 leaves 125 samples, under one 20 ms analysis frame (320)
+    ref = random_buffer(67, 500)
+    backend = MockOracle(ref, "a", threshold=1.0)
+    result = generic_attack(ref, backend,
+                            [PerturbationParams(ts_factor_percent=400.0)])
+    assert isinstance(result, ExhaustionReport) and result.queries_used == 1
+    (cand,) = result.candidates
+    assert len(cand.audio) == 125
+    assert cand.verdict == TranscriberVerdict(False, "", 1)
+    with pytest.raises(ValueError):
+        backend.distance_to_reference(cand.audio)
 
 
 def test_generic_attack_validates_inputs():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import garble
 from garble.attack import BackendError
 from garble.audio_io import read_wav, write_wav
 from garble.cli import (
@@ -314,3 +319,13 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal roughly doubles the CLI's start-up time and
+    # resident memory; the package uses scipy.fft only
+    env = {**os.environ, "PYTHONPATH": str(Path(garble.__file__).parents[1])}
+    code = "import garble.cli, sys; assert 'scipy.signal' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,8 +1,8 @@
-"""Property tests: the framing kernel, the vectorized per-window code and
-the lazy attack searches against their definitions and the references in
-oracles.py, over arbitrary lengths, windows, seeds, schedules and budgets;
-VAD scale covariance, the WAV and manifest round-trips, and read_wav on
-arbitrary and damaged bytes."""
+"""Property tests: the framing kernel, the vectorized per-window code, the
+FFT FIR and the lazy attack searches against their definitions and the
+references in oracles.py, over arbitrary lengths, windows, taps, seeds,
+schedules and budgets; VAD scale covariance, the WAV and manifest
+round-trips, and read_wav on arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -15,12 +15,19 @@ from hypothesis import strategies as st
 
 from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_attack
 from garble.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
+from garble.channel import PRESETS, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
-from garble.dsp import frames, window_ms_to_samples
+from garble.dsp import apply_fir, frames, window_ms_to_samples
 from garble.features import extract_features, feature_distance
 from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
-from oracles import generic_attack_eager, improved_attack_eager, rpg_loop, vad_energies_loop
+from oracles import (
+    apply_fir_direct,
+    generic_attack_eager,
+    improved_attack_eager,
+    rpg_loop,
+    vad_energies_loop,
+)
 from synth import SR, band_noise
 
 # derandomized so every run checks the same examples; bounded for tier-1 time
@@ -102,6 +109,38 @@ def test_ts_length_and_selection_law(n, factor, seed):
     law = math.floor((n - 0.5) / s) + 1
     assert len(out) == law or (len(out) == law - 1 and round((law - 1) * s) == n)
     assert round(len(out) * s) >= n  # no further sample fits
+
+
+# --- FFT FIR against direct convolution -----------------------------------------
+
+HARSH_TAPS = _band_taps(PRESETS["harsh"], SR)  # the 1601-tap band-pass of simulate
+odd_taps = st.just(HARSH_TAPS) | st.builds(
+    lambda half, seed: np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * half + 1),
+    st.integers(0, 400), seeds)
+
+
+@bounded
+@given(n=st.integers(1, 3000), taps=odd_taps, seed=seeds)
+def test_apply_fir_matches_direct_convolution(n, taps, seed):
+    # FFT convolution cannot be bit-exact; its rounding error scales with
+    # the largest possible output, sum|taps| * max|x|
+    x = AudioBuffer(signal(n, seed), SR)
+    got, want = apply_fir(x, taps).samples, apply_fir_direct(x, taps).samples
+    assert len(got) == len(want) == n
+    bound = 1e-12 * np.sum(np.abs(taps)) * np.max(np.abs(x.samples))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_harsh_simulate_wav_bytes_match_direct_convolution(monkeypatch):
+    inputs = [AudioBuffer(0.5 * signal(n, n), SR) for n in (1, 300, 1601, 4000, 24000)]
+    inputs.append(band_noise(31, duration_s=1.5))
+
+    def aired_wavs():
+        return [write_wav(simulate(x, PRESETS["harsh"])[0]) for x in inputs]
+
+    fft = aired_wavs()
+    monkeypatch.setattr("garble.channel.apply_fir", apply_fir_direct)
+    assert aired_wavs() == fft
 
 
 # --- VAD, WAV and manifest ------------------------------------------------------
