@@ -100,56 +100,52 @@ class MockOracle(TranscriberBackend):
     Audio shorter than one analysis frame has no features: it is rejected
     with an empty transcript and the query is spent, as a real recognizer
     given a few ms of audio hears nothing. distance_to_reference still
-    raises ValueError on such audio, which has no distance.
+    raises ValueError on such audio, which has no distance. Features are
+    the default MFCC config, FeatureConfig().
     """
 
     def __init__(self, reference: AudioBuffer, reference_transcript: str,
-                 threshold: float, feature_config: FeatureConfig = FeatureConfig(),
-                 budget: int = DEFAULT_QUERY_BUDGET):
+                 threshold: float, budget: int = DEFAULT_QUERY_BUDGET):
         super().__init__(budget)
-        if threshold < 0:
+        if not threshold >= 0:  # NaN fails too
             raise ValueError("threshold must be >= 0")
         self.reference_transcript = reference_transcript
         self.threshold = threshold
-        self.feature_config = feature_config
-        self._reference_features = extract_features(reference, feature_config)
+        self._reference_features = extract_features(reference)
 
     def distance_to_reference(self, audio: AudioBuffer) -> float:
-        return feature_distance(extract_features(audio, self.feature_config),
-                                self._reference_features)
+        return feature_distance(extract_features(audio), self._reference_features)
 
     def _evaluate(self, audio: AudioBuffer) -> tuple[bool, str]:
-        if len(audio) < window_ms_to_samples(self.feature_config.frame_ms, audio.sample_rate):
+        if len(audio) < window_ms_to_samples(FeatureConfig.frame_ms, audio.sample_rate):
             return False, ""
         if self.distance_to_reference(audio) <= self.threshold:
             return True, self.reference_transcript
         return False, ""
 
 
-def calibrate_mock_threshold(references: list[AudioBuffer],
-                             feature_config: FeatureConfig = FeatureConfig(),
-                             n_trials: int = 5, seed: int = 0) -> float:
-    """Midpoint between the worst feature-preserving case and the best noise.
+def calibrate_mock_threshold(references: list[AudioBuffer]) -> float:
+    """Midpoint between the worst feature-preserving case and the best noise,
+    in the default MFCC config's feature distance (as MockOracle measures).
 
-    Upper anchor: max distance from each reference to its phase-randomized
-    (window = analysis frame) variants. Lower anchor: min distance to
-    RMS-matched white noise. Raises when the two sides do not separate.
+    Upper anchor: max distance from each reference to five phase-randomized
+    (window = analysis frame) variants. Lower anchor: min distance to five
+    RMS-matched white noises. All draws come from one generator seeded
+    with 0. Raises when the two sides do not separate.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     preserved = []
     noisy = []
     for ref in references:
-        ref_feats = extract_features(ref, feature_config)
+        ref_feats = extract_features(ref)
         rms = float(np.sqrt(np.mean(ref.samples ** 2))) or 1.0
-        for trial in range(n_trials):
-            shuffled = rpg(ref, feature_config.frame_ms, seed=int(rng.integers(2 ** 31)))
-            preserved.append(feature_distance(
-                extract_features(shuffled, feature_config), ref_feats))
+        for _trial in range(5):
+            shuffled = rpg(ref, FeatureConfig.frame_ms, seed=int(rng.integers(2 ** 31)))
+            preserved.append(feature_distance(extract_features(shuffled), ref_feats))
             noise = AudioBuffer(
                 np.clip(rng.normal(0.0, rms, len(ref.samples)), -1.0, 1.0),
                 ref.sample_rate)
-            noisy.append(feature_distance(
-                extract_features(noise, feature_config), ref_feats))
+            noisy.append(feature_distance(extract_features(noise), ref_feats))
     hi, lo = max(preserved), min(noisy)
     if hi >= lo:
         raise ValueError("fixtures do not separate preserved audio from noise")
@@ -213,12 +209,12 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
 
 def improved_attack(words: list[AudioBuffer], per_word_variants: int,
                     backend: TranscriberBackend, schedule: list[PerturbationParams],
-                    feature_threshold: float = math.inf,
-                    feature_config: FeatureConfig = FeatureConfig()):
+                    feature_threshold: float = math.inf):
     """Per-word variant search: each word is perturbed on the schedule, its
-    k worst-sounding variants that pass a local feature-distance check are
-    kept, and the k^n concatenations are queried in lexicographic order of
-    per-word distortion rank. Same return contract as generic_attack.
+    k worst-sounding variants that pass a local feature-distance check
+    (default MFCC config, distance <= feature_threshold) are kept, and the
+    k^n concatenations are queried in lexicographic order of per-word
+    distortion rank. Same return contract as generic_attack.
 
     A word's variants are rendered worst-sounding first and only until k
     of them pass the check.
@@ -237,9 +233,9 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     for word in words:
         variants = _ranked_candidates(word, schedule)
         if math.isfinite(feature_threshold):
-            ref = extract_features(word, feature_config)
+            ref = extract_features(word)
             variants = (c for c in variants if feature_distance(
-                extract_features(c.audio, feature_config), ref) <= feature_threshold)
+                extract_features(c.audio), ref) <= feature_threshold)
         kept = list(itertools.islice(variants, per_word_variants))
         if not kept:
             raise ValueError("a word has no variants under the feature threshold")

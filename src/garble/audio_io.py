@@ -154,6 +154,6 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(out, target_rate)
 
 
-def canonicalize(audio: AudioBuffer, rate: int = CANONICAL_RATE) -> AudioBuffer:
+def canonicalize(audio: AudioBuffer) -> AudioBuffer:
     """Bring a decoded buffer to the canonical pipeline rate (16 kHz mono)."""
-    return resample(audio, rate)
+    return resample(audio, CANONICAL_RATE)

@@ -65,6 +65,8 @@ def _band_taps(config: ChannelConfig, sample_rate: int) -> np.ndarray | None:
 def _add_reverb(x: np.ndarray, config: ChannelConfig, sample_rate: int) -> np.ndarray:
     if config.reverb_taps < 0 or config.reverb_decay < 0:
         raise ValueError("reverb_taps and reverb_decay must be >= 0")
+    if not math.isfinite(config.reverb_delay_ms):
+        raise ValueError("reverb_delay_ms must be finite")
     if config.reverb_taps == 0:
         return x
     delay = round(config.reverb_delay_ms * sample_rate / 1000.0)

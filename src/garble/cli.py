@@ -41,6 +41,8 @@ def parse_float_range(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"range must be A:B:STEP, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("range values must be finite")
     if step <= 0:
         raise ValueError("range STEP must be positive")
     if stop < start:

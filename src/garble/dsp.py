@@ -19,9 +19,10 @@ def next_pow2(n: int) -> int:
 
 def window_ms_to_samples(window_ms: float, sample_rate: int) -> int:
     """Whole samples in a window of window_ms at sample_rate, at least one:
-    max(1, round(window_ms * sample_rate / 1000)). Rejects window_ms <= 0."""
-    if window_ms <= 0:
-        raise ValueError("window length in ms must be positive")
+    max(1, round(window_ms * sample_rate / 1000)). Rejects window_ms that
+    is not positive and finite."""
+    if not 0 < window_ms < math.inf:
+        raise ValueError("window length in ms must be positive and finite")
     return max(1, round(window_ms * sample_rate / 1000.0))
 
 

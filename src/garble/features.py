@@ -17,6 +17,7 @@ from .audio_io import AudioBuffer
 from .dsp import frames, next_pow2, window_ms_to_samples
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
+_LOG_FLOOR = 1e-10  # absolute floor on filterbank energies before the log
 
 
 def hz_to_mel(hz):
@@ -37,10 +38,7 @@ class FeatureConfig:
     n_coefficients: int = 13
     include_dct: bool = True      # True -> MFCC, False -> MFSC (log energies)
     use_power: bool = True        # magnitude-squared spectrum vs magnitude
-    log_floor: float = 1e-10
     pre_emphasis: float = 0.0     # 0 disables; typical speech value 0.97
-    f_min: float = 0.0
-    f_max: float | None = None    # None -> Nyquist
 
     def __post_init__(self):
         if self.analysis_window not in _ANALYSIS_WINDOWS:
@@ -51,8 +49,6 @@ class FeatureConfig:
             raise ValueError("n_filters must be >= 1")
         if not 1 <= self.n_coefficients <= self.n_filters:
             raise ValueError("need 1 <= n_coefficients <= n_filters")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,38 +69,33 @@ class FeatureMatrix:
         return "\n".join(lines) + "\n"
 
 
-def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int,
-                   f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
-    """Triangular filters, vertices equally spaced in mel, peak weight 1.
+def _mel_vertices(n_filters: int, sample_rate: int) -> np.ndarray:
+    """n_filters + 2 filter vertices (Hz), equally spaced in mel from 0 Hz
+    to Nyquist."""
+    return mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_filters + 2))
+
+
+def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """Triangular filters spanning 0 Hz to Nyquist, vertices equally spaced
+    in mel, peak weight 1.
 
     Returns an (n_filters, fft_size//2 + 1) matrix of bin weights; each row
     rises linearly in Hz from its left vertex to its center and falls to its
     right vertex.
     """
-    nyquist = sample_rate / 2.0
-    if f_max is None:
-        f_max = nyquist
-    if not 0.0 <= f_min < f_max <= nyquist:
-        raise ValueError("need 0 <= f_min < f_max <= Nyquist")
     if n_filters < 1:
         raise ValueError("n_filters must be >= 1")
-    vertices = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_filters + 2))
+    vertices = _mel_vertices(n_filters, sample_rate)
+    left, center, right = vertices[:-2, None], vertices[1:-1, None], vertices[2:, None]
     freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-    bank = np.zeros((n_filters, len(freqs)))
-    for i in range(n_filters):
-        left, center, right = vertices[i], vertices[i + 1], vertices[i + 2]
-        rise = (freqs - left) / (center - left)
-        fall = (right - freqs) / (right - center)
-        bank[i] = np.maximum(0.0, np.minimum(rise, fall))
-    return bank
+    rise = (freqs - left) / (center - left)
+    fall = (right - freqs) / (right - center)
+    return np.maximum(0.0, np.minimum(rise, fall))
 
 
 def filter_centers(config: FeatureConfig, sample_rate: int) -> np.ndarray:
     """Center frequency (Hz) of each mel filter under this config."""
-    f_max = config.f_max if config.f_max is not None else sample_rate / 2.0
-    vertices = mel_to_hz(np.linspace(hz_to_mel(config.f_min), hz_to_mel(f_max),
-                                     config.n_filters + 2))
-    return vertices[1:-1]
+    return _mel_vertices(config.n_filters, sample_rate)[1:-1]
 
 
 def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -132,8 +123,7 @@ def mel_energies(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) ->
     """Per-frame filterbank energies before the log (n_frames x n_filters)."""
     spec = spectrum(audio, config)
     fft_size = max(1, 2 * (spec.shape[1] - 1))  # a power of two, so the bins fix it
-    bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate,
-                          config.f_min, config.f_max)
+    bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate)
     return spec @ bank.T
 
 
@@ -143,7 +133,7 @@ def extract_features(audio: AudioBuffer,
     config.include_dct is False. Frame count obeys
     (len - frame) // hop + 1 (99 rows for 1 s at 16 kHz defaults)."""
     energies = mel_energies(audio, config)
-    logs = np.log(np.maximum(energies, config.log_floor))
+    logs = np.log(np.maximum(energies, _LOG_FLOOR))
     if config.include_dct:
         data = scipy.fft.dct(logs, type=2, norm="ortho", axis=1)[:, :config.n_coefficients]
     else:

@@ -99,15 +99,15 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
 
     The sample rate field is left alone, so the audio simply plays faster
     and shorter. Factor 100 is the exact identity; factors below 100 are
-    rejected (this primitive only ever drops samples).
+    rejected (this primitive only ever drops samples), as are inf and NaN.
 
     With n input samples and s = factor/100 the output has
     floor((n - 0.5) / s) + 1 samples (none for empty input), or one fewer
     when (n - 0.5) / s is a whole number and round-half-to-even sends the
     last index to n, past the end.
     """
-    if factor_percent < 100.0:
-        raise ValueError("ts factor must be >= 100 percent")
+    if not 100.0 <= factor_percent < math.inf:
+        raise ValueError("ts factor must be finite and >= 100 percent")
     s = factor_percent / 100.0
     x = audio.samples
     count = int(math.floor((len(x) - 0.5) / s)) + 1 if len(x) else 0

@@ -46,54 +46,37 @@ def frame_energies(x: np.ndarray, frame_len: int) -> np.ndarray:
     return energies
 
 
-def detect_speech(audio: AudioBuffer,
-                  frame_ms: float = FRAME_MS,
-                  margin_db: float = MARGIN_DB,
-                  hangover_frames: int = HANGOVER_FRAMES,
-                  min_region_ms: float = MIN_REGION_MS) -> list[SpeechRegion]:
+def detect_speech(audio: AudioBuffer, frame_ms: float = FRAME_MS) -> list[SpeechRegion]:
     """Detected speech spans in seconds, earliest first.
 
     A frame is active when its mean-square energy exceeds the noise floor by
-    margin_db, where the floor is min(10th percentile of frame energies,
+    MARGIN_DB, where the floor is min(10th percentile of frame energies,
     peak frame energy reduced by FLOOR_CAP_DB). Active runs are extended by
-    hangover_frames, merged, and dropped when shorter than min_region_ms.
+    HANGOVER_FRAMES, merged, and dropped when shorter than MIN_REGION_MS.
     """
     x = audio.samples
     frame_len = window_ms_to_samples(frame_ms, audio.sample_rate)
     if len(x) == 0:
         return []
     energies = frame_energies(x, frame_len)
-    n_frames = len(energies)
 
     peak = float(np.max(energies))
     floor = min(float(np.percentile(energies, FLOOR_PERCENTILE)),
                 peak / (10.0 ** (FLOOR_CAP_DB / 10.0)))
-    threshold = floor * (10.0 ** (margin_db / 10.0))
+    threshold = floor * (10.0 ** (MARGIN_DB / 10.0))
     raw = energies > threshold
 
     active = raw.copy()
-    for k in range(1, hangover_frames + 1):
+    for k in range(1, HANGOVER_FRAMES + 1):
         active[k:] |= raw[:-k]
 
-    regions = []
-    start = None
-    for i, flag in enumerate(active):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            regions.append((start, i))
-            start = None
-    if start is not None:
-        regions.append((start, n_frames))
-
-    out = []
-    min_dur = min_region_ms / 1000.0
-    for i0, i1 in regions:
-        start_s = i0 * frame_len / audio.sample_rate
-        end_s = min(i1 * frame_len, len(x)) / audio.sample_rate
-        if end_s - start_s >= min_dur:
-            out.append(SpeechRegion(start_s, end_s))
-    return out
+    # run edges: starts at even, ends (exclusive) at odd positions
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], active, [False]))))
+    starts = edges[0::2] * frame_len / audio.sample_rate
+    ends = np.minimum(edges[1::2] * frame_len, len(x)) / audio.sample_rate
+    keep = ends - starts >= MIN_REGION_MS / 1000.0
+    return [SpeechRegion(start_s, end_s)
+            for start_s, end_s in zip(starts[keep].tolist(), ends[keep].tolist())]
 
 
 def format_regions(regions: list[SpeechRegion]) -> str:

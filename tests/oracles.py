@@ -4,9 +4,10 @@ The signal references are computed from first principles: explicit DFT
 matrices instead of np.fft, a hand-written DCT-II, a hand-built mel
 filterbank. They import nothing from the package under test, so agreement
 between the two routes is evidence rather than tautology. The per-window
-loops after them are the package's earlier loop implementations of rpg and
-the VAD frame energies, kept as references for the vectorized code, and
-its earlier direct-convolution FIR, the reference for the FFT one. The
+loops after them are the package's earlier loop implementations of rpg,
+the VAD frame energies and the VAD run finder, kept as references for the
+vectorized code, and its earlier direct-convolution FIR, the reference for
+the FFT one. The
 attack searches at the end are the package's earlier eager versions, which
 render the whole schedule before the first query; they reuse the package's
 renderer, features and types, so they pin down only the search order and
@@ -21,8 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from garble.attack import AttackCandidate, ExhaustionReport, distortion_key
+from garble import vad
 from garble.audio_io import AudioBuffer
-from garble.features import FeatureConfig, extract_features, feature_distance
+from garble.dsp import window_ms_to_samples
+from garble.features import extract_features, feature_distance
 from garble.perturb import apply_params
 
 
@@ -94,12 +97,11 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_bank_reference(n_filters, fft_size, sample_rate, f_min=0.0, f_max=None):
-    """Triangular mel filterbank built point-by-point (no vectorized tricks)."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
+def mel_bank_reference(n_filters, fft_size, sample_rate):
+    """Triangular mel filterbank from 0 Hz to Nyquist, built point-by-point
+    (no vectorized tricks)."""
     edges = _mel_to_hz(
-        np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), n_filters + 2)
+        np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_filters + 2)
     )
     n_bins = fft_size // 2 + 1
     bin_hz = np.arange(n_bins) * (sample_rate / fft_size)
@@ -140,8 +142,7 @@ def _next_pow2(n):
 
 def mfcc_reference(samples, sample_rate, frame_ms=20.0, hop_ms=10.0,
                    window="hamming", n_filters=26, n_coeffs=13,
-                   use_power=True, log_floor=1e-10, pre_emphasis=0.0,
-                   include_dct=True, f_min=0.0, f_max=None):
+                   use_power=True, pre_emphasis=0.0, include_dct=True):
     """Brute-force cepstral pipeline sharing no code with the implementation."""
     x = np.asarray(samples, dtype=np.float64)
     if pre_emphasis:
@@ -154,14 +155,14 @@ def mfcc_reference(samples, sample_rate, frame_ms=20.0, hop_ms=10.0,
     n_frames = (len(x) - frame_len) // hop + 1
     fft_size = _next_pow2(frame_len)
     win = hamming_window(frame_len) if window == "hamming" else np.ones(frame_len)
-    bank = mel_bank_reference(n_filters, fft_size, sample_rate, f_min, f_max)
+    bank = mel_bank_reference(n_filters, fft_size, sample_rate)
     rows = []
     for i in range(n_frames):
         frame = x[i * hop: i * hop + frame_len] * win
         bins = direct_rfft(frame, fft_size)
         spec = np.abs(bins) ** 2 if use_power else np.abs(bins)
         energies = bank @ spec
-        logs = np.log(np.maximum(energies, log_floor))
+        logs = np.log(np.maximum(energies, 1e-10))
         rows.append(dct2_reference(logs)[:n_coeffs] if include_dct else logs)
     return np.array(rows)
 
@@ -207,6 +208,42 @@ def vad_energies_loop(x, frame_len):
     return energies
 
 
+def detect_speech_loop(audio, frame_ms=vad.FRAME_MS):
+    """vad.detect_speech with its active runs found by a per-frame loop;
+    energies, floor, margin and hangover are the package's own."""
+    x = audio.samples
+    frame_len = window_ms_to_samples(frame_ms, audio.sample_rate)
+    if len(x) == 0:
+        return []
+    energies = vad.frame_energies(x, frame_len)
+    n_frames = len(energies)
+    floor = min(float(np.percentile(energies, vad.FLOOR_PERCENTILE)),
+                float(np.max(energies)) / (10.0 ** (vad.FLOOR_CAP_DB / 10.0)))
+    raw = energies > floor * (10.0 ** (vad.MARGIN_DB / 10.0))
+    active = raw.copy()
+    for k in range(1, vad.HANGOVER_FRAMES + 1):
+        active[k:] |= raw[:-k]
+
+    regions = []
+    start = None
+    for i, flag in enumerate(active):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            regions.append((start, i))
+            start = None
+    if start is not None:
+        regions.append((start, n_frames))
+
+    out = []
+    for i0, i1 in regions:
+        start_s = i0 * frame_len / audio.sample_rate
+        end_s = min(i1 * frame_len, len(x)) / audio.sample_rate
+        if end_s - start_s >= vad.MIN_REGION_MS / 1000.0:
+            out.append(vad.SpeechRegion(start_s, end_s))
+    return out
+
+
 def apply_fir_direct(audio, taps):
     """dsp.apply_fir by direct np.convolve: full convolution, then the
     (numtaps-1)/2 group delay compensated; length preserved."""
@@ -247,8 +284,7 @@ def generic_attack_eager(source, backend, schedule):
 
 
 def improved_attack_eager(words, per_word_variants, backend, schedule,
-                          feature_threshold=math.inf,
-                          feature_config=FeatureConfig()):
+                          feature_threshold=math.inf):
     """improved_attack rendering and filtering every word's whole schedule,
     then building the concatenations as they are queried (input checks left
     out)."""
@@ -256,9 +292,9 @@ def improved_attack_eager(words, per_word_variants, backend, schedule,
     for word in words:
         ranked = _rank_eager(word, schedule)
         if math.isfinite(feature_threshold):
-            ref = extract_features(word, feature_config)
+            ref = extract_features(word)
             ranked = [c for c in ranked if feature_distance(
-                extract_features(c.audio, feature_config), ref) <= feature_threshold]
+                extract_features(c.audio), ref) <= feature_threshold]
             if not ranked:
                 raise ValueError("a word has no variants under the feature threshold")
         per_word.append(ranked[:per_word_variants])

@@ -315,6 +315,27 @@ def test_cli_error_paths(tmp_path, wav_on_disk, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb", "{src}", "{out}", "--tdi-ms", "inf"],
+    ["perturb", "{src}", "{out}", "--ts", "inf"],
+    ["sweep", "{src}", "{out}", "--tdi-ms-range", "1:inf:1"],
+    ["features", "{src}", "--frame-ms", "inf"],
+    ["compare", "{src}", "{src}", "--window-ms", "inf"],
+    ["simulate", "{src}", "{out}", "--channel", "{cfg}"],
+    ["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:1e9",
+     "--start-ms", "inf"],
+    ["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:nan"],
+], ids=["perturb-tdi", "perturb-ts", "sweep", "features", "compare", "simulate",
+        "attack-start", "attack-nan-threshold"])
+def test_non_finite_parameters_exit_2(tmp_path, wav_on_disk, capsys, argv):
+    src = wav_on_disk(band_noise(9, duration_s=0.2))
+    cfg = tmp_path / "chan.cfg"
+    cfg.write_text("reverb_taps = 2\nreverb_delay_ms = inf\n")
+    paths = {"src": src, "out": tmp_path / "out", "cfg": cfg}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -49,17 +49,6 @@ def test_filterbank_matches_reference_construction():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_filterbank_band_limits():
-    bank = mel_filterbank(10, 512, SR, f_min=300.0, f_max=3400.0)
-    freqs = np.arange(257) * (SR / 512)
-    outside = (freqs < 300.0) | (freqs > 3400.0)
-    assert np.all(bank[:, outside] == 0.0)
-    with pytest.raises(ValueError):
-        mel_filterbank(10, 512, SR, f_min=4000.0, f_max=3000.0)
-    with pytest.raises(ValueError):
-        mel_filterbank(10, 512, SR, f_max=9000.0)
-
-
 # --- framing laws ------------------------------------------------------------
 
 
@@ -168,8 +157,6 @@ def test_config_validation():
         FeatureConfig(n_coefficients=27)
     with pytest.raises(ValueError):
         FeatureConfig(n_coefficients=0)
-    with pytest.raises(ValueError):
-        FeatureConfig(log_floor=0.0)
 
 
 def test_to_text_roundtrip():

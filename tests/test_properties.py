@@ -1,8 +1,8 @@
 """Property tests: the framing kernel, the vectorized per-window code, the
-FFT FIR and the lazy attack searches against their definitions and the
-references in oracles.py, over arbitrary lengths, windows, taps, seeds,
-schedules and budgets; VAD scale covariance, the WAV and manifest
-round-trips, and read_wav on arbitrary and damaged bytes."""
+FFT FIR, the VAD run finder and the lazy attack searches against their
+definitions and the references in oracles.py, over arbitrary lengths,
+windows, taps, seeds, schedules and budgets; VAD scale covariance, the WAV
+and manifest round-trips, and read_wav on arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -23,6 +23,7 @@ from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
 from oracles import (
     apply_fir_direct,
+    detect_speech_loop,
     generic_attack_eager,
     improved_attack_eager,
     rpg_loop,
@@ -168,6 +169,13 @@ def test_vad_regions_are_scale_covariant(n, seed, power, frame_ms):
     x = bursts(n, seed)
     regions = detect_speech(AudioBuffer(x, SR), frame_ms)
     assert detect_speech(AudioBuffer(x * 2.0 ** power, SR), frame_ms) == regions
+
+
+@bounded
+@given(n=lengths, seed=seeds, frame_ms=st.floats(min_value=0.05, max_value=40.0))
+def test_vad_regions_match_frame_loop(n, seed, frame_ms):
+    buf = AudioBuffer(bursts(n, seed), SR)
+    assert detect_speech(buf, frame_ms) == detect_speech_loop(buf, frame_ms)
 
 
 @bounded
