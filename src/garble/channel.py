@@ -63,8 +63,10 @@ def _band_taps(config: ChannelConfig, sample_rate: int) -> np.ndarray | None:
 
 
 def _add_reverb(x: np.ndarray, config: ChannelConfig, sample_rate: int) -> np.ndarray:
-    if config.reverb_taps < 0 or config.reverb_decay < 0:
-        raise ValueError("reverb_taps and reverb_decay must be >= 0")
+    if config.reverb_taps < 0:
+        raise ValueError("reverb_taps must be >= 0")
+    if not 0.0 <= config.reverb_decay < math.inf:
+        raise ValueError("reverb_decay must be finite and >= 0")
     if not math.isfinite(config.reverb_delay_ms):
         raise ValueError("reverb_delay_ms must be finite")
     if config.reverb_taps == 0:
@@ -90,6 +92,8 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     ratio equals snr_db exactly; identical (audio, config) always produce
     identical output.
     """
+    if not -math.inf < config.snr_db <= math.inf:
+        raise ValueError("snr_db must be finite or +inf")
     taps = _band_taps(config, audio.sample_rate)
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
     out = _add_reverb(out, config, audio.sample_rate)

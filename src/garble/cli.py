@@ -175,8 +175,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_attack(args) -> int:
     audio = _load(args.input)
-    schedule = tdi_probe_schedule(args.start_ms, args.step_ms, args.count,
-                                  rpg_seed=args.seed)
+    schedule = tdi_probe_schedule(args.start_ms, args.step_ms, args.count)
     spec = args.backend
     if spec.startswith("mock:"):
         rest = spec[len("mock:"):]
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-ms", type=float, default=1.0)
     p.add_argument("--step-ms", type=float, default=0.5)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("spectrogram", help="write a log-magnitude PGM image")

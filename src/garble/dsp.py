@@ -1,4 +1,4 @@
-"""Shared signal kernels: ms-to-samples conversion, framing, peak
+"""Shared signal kernels: ms-to-samples conversion, framing and tiling, peak
 renormalization, FIR low-pass, SNR measurement."""
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     """Read-only (n_frames, length) strided view of the full frames of x.
 
     Frames start at 0, hop, 2*hop, ... and only those that fit whole are
-    included. Callers that tile x (hop == length) and keep the shorter
-    remainder slice it themselves as x[view.size:]. Input shorter than one
-    frame gives zero rows.
+    included, so input shorter than one frame gives zero rows. To cover
+    all of x with consecutive windows, shorter remainder included, use
+    tiles.
     """
     if length < 1 or hop < 1:
         raise ValueError("length and hop must be >= 1")
@@ -41,6 +41,17 @@ def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     step = x.strides[0]
     return np.lib.stride_tricks.as_strided(
         x, (n_frames, length), (hop * step, step), writeable=False)
+
+
+def tiles(x: np.ndarray, length: int) -> list[np.ndarray]:
+    """Consecutive length-sample windows covering x, as read-only blocks
+    of rows: the (n, length) view of the full windows, then the shorter
+    remainder as a one-row block when there is one. The raveled blocks
+    concatenate back to x."""
+    full = frames(x, length, length)
+    tail = np.asarray(x)[None, full.size:]
+    tail.flags.writeable = False
+    return [full, tail] if tail.size else [full]
 
 
 def renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:

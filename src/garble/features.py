@@ -8,13 +8,14 @@ orthonormal DCT-II when cepstral output is wanted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .audio_io import AudioBuffer
-from .dsp import frames, next_pow2, window_ms_to_samples
+from .dsp import frames, next_pow2, tiles, window_ms_to_samples
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
 _LOG_FLOOR = 1e-10  # absolute floor on filterbank energies before the log
@@ -43,8 +44,10 @@ class FeatureConfig:
     def __post_init__(self):
         if self.analysis_window not in _ANALYSIS_WINDOWS:
             raise ValueError(f"analysis_window must be one of {_ANALYSIS_WINDOWS}")
-        if self.frame_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError("frame_ms and hop_ms must be positive")
+        if not (0 < self.frame_ms < math.inf and 0 < self.hop_ms < math.inf):
+            raise ValueError("frame_ms and hop_ms must be positive and finite")
+        if not math.isfinite(self.pre_emphasis):
+            raise ValueError("pre_emphasis must be finite")
         if self.n_filters < 1:
             raise ValueError("n_filters must be >= 1")
         if not 1 <= self.n_coefficients <= self.n_filters:
@@ -167,14 +170,8 @@ def max_window_magnitude_diff(a: AudioBuffer, b: AudioBuffer, window_ms: float) 
         raise ValueError("sample rates differ")
     w = window_ms_to_samples(window_ms, a.sample_rate)
     n = min(len(a), len(b))
-    xa, xb = a.samples[:n], b.samples[:n]
-    full = n // w * w
-    blocks = ((frames(xa, w, w), frames(xb, w, w)),  # full windows
-              (xa[None, full:], xb[None, full:]))    # the tail, maybe empty
     worst = 0.0
-    for wa, wb in blocks:
-        if wa.size == 0:
-            continue
+    for wa, wb in zip(tiles(a.samples[:n], w), tiles(b.samples[:n], w)):
         ma = np.abs(np.fft.rfft(wa, axis=1))
         mb = np.abs(np.fft.rfft(wb, axis=1))
         denom = np.maximum(np.max(ma, axis=1), np.max(mb, axis=1))

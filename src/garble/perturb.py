@@ -24,20 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import frames, renormalize, window_ms_to_samples
+from .dsp import renormalize, tiles, window_ms_to_samples
 
 
 def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
     """Reverse every consecutive window; a partial tail reverses at its own
     length. Applying tdi twice with the same window is the exact identity."""
     w = window_ms_to_samples(window_ms, audio.sample_rate)
-    x = audio.samples
-    windows = frames(x, w, w)
-    full = windows.size
-    out = np.empty_like(x)
-    out[:full] = windows[:, ::-1].ravel()
-    out[full:] = x[full:][::-1]
-    return AudioBuffer(out, audio.sample_rate)
+    blocks = tiles(audio.samples, w)
+    return AudioBuffer(np.concatenate([b[:, ::-1].ravel() for b in blocks]),
+                       audio.sample_rate)
 
 
 def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
@@ -51,14 +47,9 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
     """
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     rng = np.random.default_rng(seed)
-    x = audio.samples
-    windows = frames(x, w, w)
-    full = windows.size
-    out = np.empty_like(x)
-    out[:full] = _randomize_phases(windows, rng)
-    if full < len(x):
-        out[full:] = _randomize_phases(x[None, full:], rng)
-    return AudioBuffer(out, audio.sample_rate)
+    blocks = tiles(audio.samples, w)  # full windows first, so they draw first
+    return AudioBuffer(np.concatenate([_randomize_phases(b, rng) for b in blocks]),
+                       audio.sample_rate)
 
 
 def _randomize_phases(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -87,8 +78,8 @@ def hfa(audio: AudioBuffer,
     for freq, amp in components:
         if not 0.0 < freq < nyquist:
             raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
-        if amp < 0.0:
-            raise ValueError("component amplitude must be >= 0")
+        if not 0.0 <= amp < math.inf:
+            raise ValueError(f"component amplitude {amp} must be finite and >= 0")
         out += amp * np.sin(2.0 * np.pi * freq * n / audio.sample_rate)
     out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import frames, window_ms_to_samples
+from .dsp import tiles, window_ms_to_samples
 
 FRAME_MS = 10.0
 MARGIN_DB = 9.0
@@ -38,12 +38,7 @@ class SpeechRegion:
 def frame_energies(x: np.ndarray, frame_len: int) -> np.ndarray:
     """Mean-square energy of each consecutive frame_len frame of x; a
     shorter trailing frame counts at its own length."""
-    full = frames(x, frame_len, frame_len)
-    energies = np.mean(full ** 2, axis=1)
-    tail = x[full.size:]
-    if len(tail):
-        energies = np.append(energies, np.mean(tail ** 2))
-    return energies
+    return np.concatenate([np.mean(b ** 2, axis=1) for b in tiles(x, frame_len)])
 
 
 def detect_speech(audio: AudioBuffer, frame_ms: float = FRAME_MS) -> list[SpeechRegion]:

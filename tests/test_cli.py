@@ -319,19 +319,28 @@ def test_cli_error_paths(tmp_path, wav_on_disk, capsys):
     ["perturb", "{src}", "{out}", "--tdi-ms", "inf"],
     ["perturb", "{src}", "{out}", "--ts", "inf"],
     ["sweep", "{src}", "{out}", "--tdi-ms-range", "1:inf:1"],
+    ["perturb", "{src}", "{out}", "--hfa", "7500:inf"],
     ["features", "{src}", "--frame-ms", "inf"],
+    ["features", "{src}", "--pre-emphasis", "nan"],
     ["compare", "{src}", "{src}", "--window-ms", "inf"],
-    ["simulate", "{src}", "{out}", "--channel", "{cfg}"],
+    ["simulate", "{src}", "{out}", "--channel", "{delay}"],
+    ["simulate", "{src}", "{out}", "--channel", "{decay}"],
+    ["simulate", "{src}", "{out}", "--channel", "{snr}"],
     ["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:1e9",
      "--start-ms", "inf"],
     ["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:nan"],
-], ids=["perturb-tdi", "perturb-ts", "sweep", "features", "compare", "simulate",
-        "attack-start", "attack-nan-threshold"])
+], ids=["perturb-tdi", "perturb-ts", "sweep", "perturb-hfa-amp", "features",
+        "features-pre-emphasis", "compare", "simulate", "simulate-reverb-decay",
+        "simulate-nan-snr", "attack-start", "attack-nan-threshold"])
 def test_non_finite_parameters_exit_2(tmp_path, wav_on_disk, capsys, argv):
     src = wav_on_disk(band_noise(9, duration_s=0.2))
-    cfg = tmp_path / "chan.cfg"
-    cfg.write_text("reverb_taps = 2\nreverb_delay_ms = inf\n")
-    paths = {"src": src, "out": tmp_path / "out", "cfg": cfg}
+    paths = {"src": src, "out": tmp_path / "out"}
+    channel_files = {"delay": "reverb_taps = 2\nreverb_delay_ms = inf\n",
+                     "decay": "reverb_decay = inf\n",  # rejected even with no taps
+                     "snr": "snr_db = nan\n"}
+    for name, text in channel_files.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

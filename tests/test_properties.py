@@ -1,8 +1,9 @@
-"""Property tests: the framing kernel, the vectorized per-window code, the
-FFT FIR, the VAD run finder and the lazy attack searches against their
-definitions and the references in oracles.py, over arbitrary lengths,
-windows, taps, seeds, schedules and budgets; VAD scale covariance, the WAV
-and manifest round-trips, and read_wav on arbitrary and damaged bytes."""
+"""Property tests: the framing and tiling kernels, the vectorized
+per-window code, the FFT FIR, the VAD run finder and the lazy attack
+searches against their definitions and the references in oracles.py,
+over arbitrary lengths, windows, taps, seeds, schedules and budgets; VAD
+scale covariance, the WAV and manifest round-trips, and read_wav on
+arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -17,7 +18,7 @@ from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_
 from garble.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
 from garble.channel import PRESETS, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
-from garble.dsp import apply_fir, frames, window_ms_to_samples
+from garble.dsp import apply_fir, frames, tiles, window_ms_to_samples
 from garble.features import extract_features, feature_distance
 from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
@@ -52,6 +53,13 @@ def test_frames_matches_definition(n, length, hop, seed):
     assert view.shape == (len(want), length)
     assert all(np.array_equal(row, ref) for row, ref in zip(view, want))
     assert not view.flags.writeable
+    # tiles: full windows, then at most one shorter one-row remainder
+    blocks = tiles(x, length)
+    assert np.concatenate([b.ravel() for b in blocks]).tobytes() == x.tobytes()
+    assert len(blocks) == 1 + (n % length > 0)
+    assert blocks[0].shape == (n // length, length)
+    assert all(b.shape == (1, n % length) for b in blocks[1:])
+    assert not any(b.flags.writeable for b in blocks)
 
 
 @bounded
