@@ -217,7 +217,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     distortion rank. Same return contract as generic_attack.
 
     A word's variants are rendered worst-sounding first and only until k
-    of them pass the check.
+    of them pass the check. feature_threshold must be >= 0; the default
+    +inf keeps every variant.
     """
     if not words:
         raise ValueError("words must be nonempty")
@@ -227,6 +228,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
         raise ValueError("schedule must be nonempty")
     if len({w.sample_rate for w in words}) != 1:
         raise ValueError("words must share one sample rate")
+    if not feature_threshold >= 0:  # NaN fails too
+        raise ValueError("feature_threshold must be >= 0")
     _require_fresh(backend)
 
     per_word: list[list[AttackCandidate]] = []

@@ -7,7 +7,9 @@ with the fields of ChannelConfig.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,15 +36,16 @@ PRESETS = {
 }
 
 
-def _band_taps(config: ChannelConfig, sample_rate: int) -> np.ndarray | None:
-    """Band-pass FIR from the same windowed-sinc family as dsp.design_lowpass.
+@functools.lru_cache(maxsize=8)
+def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray | None:
+    """Read-only band-pass FIR from the same windowed-sinc family as
+    dsp.design_lowpass, built once per (band_low, band_high, sample_rate).
 
-    Built as lowpass(high) - lowpass(low) on a shared odd length; a band of
-    (0, Nyquist) needs no filter at all.
+    Built as lowpass(high) - lowpass(low) on a shared odd length (high None
+    means Nyquist); a band of (0, Nyquist) needs no filter at all.
     """
     nyquist = sample_rate / 2.0
-    low = config.band_low
-    high = config.band_high if config.band_high is not None else nyquist
+    high = high if high is not None else nyquist
     if not 0.0 <= low < high <= nyquist:
         raise ValueError("need 0 <= band_low < band_high <= Nyquist")
     lowpass_needed = high < nyquist
@@ -59,7 +62,17 @@ def _band_taps(config: ChannelConfig, sample_rate: int) -> np.ndarray | None:
         taps[(numtaps - 1) // 2] = 1.0  # unit impulse: pass everything
     if highpass_needed:
         taps = taps - design_lowpass(low, sample_rate, numtaps)
+    taps.flags.writeable = False
     return taps
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_noise(seed: int, n: int) -> tuple[np.ndarray, float]:
+    """Read-only standard normal noise from default_rng(seed), and its mean
+    power."""
+    noise = np.random.default_rng(seed).standard_normal(n)
+    noise.flags.writeable = False
+    return noise, float(np.mean(noise ** 2)) if n else 0.0
 
 
 def _add_reverb(x: np.ndarray, config: ChannelConfig, sample_rate: int) -> np.ndarray:
@@ -91,18 +104,22 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     generator seeded by config.seed, scaled so the clean-vs-noisy power
     ratio equals snr_db exactly; identical (audio, config) always produce
     identical output.
+
+    The band-pass taps are built once per (band_low, band_high, sample
+    rate), and the unscaled noise and its power once per (seed, length);
+    both come from small caches, as does the taps' spectrum in
+    dsp.apply_fir.
     """
     if not -math.inf < config.snr_db <= math.inf:
         raise ValueError("snr_db must be finite or +inf")
-    taps = _band_taps(config, audio.sample_rate)
+    taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
     out = _add_reverb(out, config, audio.sample_rate)
 
     if math.isfinite(config.snr_db):
-        rng = np.random.default_rng(config.seed)
-        noise = rng.standard_normal(len(out))
+        # index(): a float seed fails as default_rng fails, not as an int's cache hit
+        noise, p_noise_raw = _unit_noise(operator.index(config.seed), len(out))
         p_sig = float(np.mean(out ** 2)) if len(out) else 0.0
-        p_noise_raw = float(np.mean(noise ** 2)) if len(noise) else 0.0
         target = p_sig * 10.0 ** (-config.snr_db / 10.0)
         if p_noise_raw > 0.0 and target > 0.0:
             out = out + noise * math.sqrt(target / p_noise_raw)

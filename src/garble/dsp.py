@@ -3,6 +3,7 @@ renormalization, FIR low-pass, SNR measurement."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -99,17 +100,31 @@ def design_lowpass(cutoff_hz: float, sample_rate: int,
     return h / np.sum(h)
 
 
+@functools.lru_cache(maxsize=8)
+def _taps_spectrum(taps_bytes: bytes, dtype: str, size: int) -> np.ndarray:
+    """Read-only rfft of the taps (given as raw bytes) zero padded to size."""
+    spec = scipy.fft.rfft(np.frombuffer(taps_bytes, dtype), size)
+    spec.flags.writeable = False
+    return spec
+
+
 def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
     """Convolve by FFT and compensate the (numtaps-1)/2 group delay; length
-    preserved. Matches direct convolution to rounding, not bit for bit."""
+    preserved. Matches direct convolution to rounding, not bit for bit.
+
+    The taps' spectrum is built once per (taps bytes, dtype, FFT size) and
+    reused from a small cache, so repeated calls with the same taps on
+    same-length audio transform only the audio."""
+    taps = np.asarray(taps)
+    if taps.ndim != 1 or len(taps) % 2 == 0:
+        raise ValueError("only 1-D odd-length (linear-phase, integer-delay) taps")
     numtaps = len(taps)
-    if numtaps % 2 == 0:
-        raise ValueError("only odd-length (linear-phase, integer-delay) taps")
     n = len(audio.samples)
     if n == 0:
         return audio
     size = scipy.fft.next_fast_len(n + numtaps - 1, real=True)
-    product = scipy.fft.rfft(audio.samples, size) * scipy.fft.rfft(taps, size)
+    spec = _taps_spectrum(taps.tobytes(), taps.dtype.str, size)
+    product = scipy.fft.rfft(audio.samples, size) * spec
     full = scipy.fft.irfft(product, size)
     delay = (numtaps - 1) // 2
     return AudioBuffer(full[delay:delay + n], audio.sample_rate)

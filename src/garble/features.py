@@ -8,6 +8,7 @@ orthonormal DCT-II when cepstral output is wanted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,6 +97,22 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
     return np.maximum(0.0, np.minimum(rise, fall))
 
 
+@functools.lru_cache(maxsize=8)
+def _filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """Read-only mel_filterbank, built once per argument triple."""
+    bank = mel_filterbank(n_filters, fft_size, sample_rate)
+    bank.flags.writeable = False
+    return bank
+
+
+@functools.lru_cache(maxsize=8)
+def _hamming(length: int) -> np.ndarray:
+    """Read-only np.hamming(length), built once per length."""
+    window = np.hamming(length)
+    window.flags.writeable = False
+    return window
+
+
 def filter_centers(config: FeatureConfig, sample_rate: int) -> np.ndarray:
     """Center frequency (Hz) of each mel filter under this config."""
     return _mel_vertices(config.n_filters, sample_rate)[1:-1]
@@ -106,7 +123,9 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
 
     Pre-emphasis, analysis window, real FFT zero padded to the next power of
     two, then |X|^2 (config.use_power) or |X|. Returns an
-    (n_frames, fft_size//2 + 1) matrix.
+    (n_frames, fft_size//2 + 1) matrix. The Hamming window is built once
+    per frame length, and mel_energies builds its filterbank once per
+    (n_filters, fft_size, sample_rate); both come from small caches.
     """
     frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
     hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
@@ -117,7 +136,7 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
         x = np.concatenate([[x[0]], x[1:] - config.pre_emphasis * x[:-1]])
     rows = frames(x, frame_len, hop)
     if config.analysis_window == "hamming":
-        rows = rows * np.hamming(frame_len)
+        rows = rows * _hamming(frame_len)
     mags = np.abs(np.fft.rfft(rows, n=next_pow2(frame_len), axis=1))
     return mags ** 2 if config.use_power else mags
 
@@ -126,7 +145,7 @@ def mel_energies(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) ->
     """Per-frame filterbank energies before the log (n_frames x n_filters)."""
     spec = spectrum(audio, config)
     fft_size = max(1, 2 * (spec.shape[1] - 1))  # a power of two, so the bins fix it
-    bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate)
+    bank = _filterbank(config.n_filters, fft_size, audio.sample_rate)
     return spec @ bank.T
 
 

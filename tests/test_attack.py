@@ -275,6 +275,10 @@ def test_improved_attack_validates_inputs():
     other_rate = AudioBuffer(word.samples, 8000)
     with pytest.raises(ValueError):
         improved_attack([word, other_rate], 2, backend, tdi_probe_schedule(count=2))
+    for threshold in (np.nan, -np.inf, -1.0):  # none of them may switch the filter off
+        with pytest.raises(ValueError, match="feature_threshold"):
+            improved_attack([word], 2, backend, tdi_probe_schedule(count=2),
+                            feature_threshold=threshold)
 
 
 # --- phrase matching --------------------------------------------------------------

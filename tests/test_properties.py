@@ -122,7 +122,8 @@ def test_ts_length_and_selection_law(n, factor, seed):
 
 # --- FFT FIR against direct convolution -----------------------------------------
 
-HARSH_TAPS = _band_taps(PRESETS["harsh"], SR)  # the 1601-tap band-pass of simulate
+# the 1601-tap band-pass of simulate
+HARSH_TAPS = _band_taps(PRESETS["harsh"].band_low, PRESETS["harsh"].band_high, SR)
 odd_taps = st.just(HARSH_TAPS) | st.builds(
     lambda half, seed: np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * half + 1),
     st.integers(0, 400), seeds)
@@ -148,8 +149,15 @@ def test_harsh_simulate_wav_bytes_match_direct_convolution(monkeypatch):
         return [write_wav(simulate(x, PRESETS["harsh"])[0]) for x in inputs]
 
     fft = aired_wavs()
-    monkeypatch.setattr("garble.channel.apply_fir", apply_fir_direct)
+    calls = []
+
+    def counted_direct(audio, taps):
+        calls.append(len(audio))
+        return apply_fir_direct(audio, taps)
+
+    monkeypatch.setattr("garble.channel.apply_fir", counted_direct)
     assert aired_wavs() == fft
+    assert calls == [len(x) for x in inputs]  # simulate went through the patched name
 
 
 # --- VAD, WAV and manifest ------------------------------------------------------
