@@ -321,6 +321,8 @@ def load_remote_config(path: str) -> RemoteConfig:
             ok = isinstance(value, str)
         if not ok:
             raise ValueError(f"remote config {key} has the wrong type: {value!r}")
+    if raw.get("max_word_edit_distance", 0) < 0:
+        raise ValueError("remote config max_word_edit_distance must be >= 0")
     return RemoteConfig(**raw)
 
 

@@ -48,19 +48,17 @@ def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray |
     high = high if high is not None else nyquist
     if not 0.0 <= low < high <= nyquist:
         raise ValueError("need 0 <= band_low < band_high <= Nyquist")
-    lowpass_needed = high < nyquist
-    highpass_needed = low > 0.0
-    if not lowpass_needed and not highpass_needed:
+    if low == 0.0 and high == nyquist:
         return None
 
-    numtaps = max(lowpass_length(high, sample_rate) if lowpass_needed else 1,
-                  lowpass_length(low, sample_rate) if highpass_needed else 1)
-    if lowpass_needed:
+    # lowpass_length never grows with the cutoff, so the lower edge sets it
+    numtaps = lowpass_length(low if low > 0.0 else high, sample_rate)
+    if high < nyquist:
         taps = design_lowpass(high, sample_rate, numtaps)
     else:
         taps = np.zeros(numtaps)
         taps[(numtaps - 1) // 2] = 1.0  # unit impulse: pass everything
-    if highpass_needed:
+    if low > 0.0:
         taps = taps - design_lowpass(low, sample_rate, numtaps)
     taps.flags.writeable = False
     return taps
@@ -112,6 +110,8 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     """
     if not -math.inf < config.snr_db <= math.inf:
         raise ValueError("snr_db must be finite or +inf")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
     out = _add_reverb(out, config, audio.sample_rate)

@@ -249,20 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="print the feature matrix as text")
     p.add_argument("input")
     p.add_argument("--mfsc", action="store_true", help="log filterbank energies, no DCT")
-    p.add_argument("--frame-ms", type=float, default=20.0)
-    p.add_argument("--hop-ms", type=float, default=10.0)
+    p.add_argument("--frame-ms", type=float, default=FeatureConfig.frame_ms)
+    p.add_argument("--hop-ms", type=float, default=FeatureConfig.hop_ms)
     p.add_argument("--rectangular", action="store_true")
-    p.add_argument("--n-filters", type=int, default=26)
-    p.add_argument("--n-coeffs", type=int, default=13)
+    p.add_argument("--n-filters", type=int, default=FeatureConfig.n_filters)
+    p.add_argument("--n-coeffs", type=int, default=FeatureConfig.n_coefficients)
     p.add_argument("--magnitude", action="store_true",
                    help="magnitude spectrum instead of power")
-    p.add_argument("--pre-emphasis", type=float, default=0.0)
+    p.add_argument("--pre-emphasis", type=float, default=FeatureConfig.pre_emphasis)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("compare", help="feature distance and per-window spectrum diff")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--window-ms", type=float, default=20.0)
+    p.add_argument("--window-ms", type=float, default=FeatureConfig.frame_ms)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("vad", help="print detected speech regions")
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrogram", help="write a log-magnitude PGM image")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--frame-ms", type=float, default=20.0)
-    p.add_argument("--hop-ms", type=float, default=10.0)
+    p.add_argument("--frame-ms", type=float, default=FeatureConfig.frame_ms)
+    p.add_argument("--hop-ms", type=float, default=FeatureConfig.hop_ms)
     p.set_defaults(func=cmd_spectrogram)
 
     return parser

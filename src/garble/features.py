@@ -73,34 +73,24 @@ class FeatureMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _mel_vertices(n_filters: int, sample_rate: int) -> np.ndarray:
-    """n_filters + 2 filter vertices (Hz), equally spaced in mel from 0 Hz
-    to Nyquist."""
-    return mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_filters + 2))
-
-
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filters spanning 0 Hz to Nyquist, vertices equally spaced
     in mel, peak weight 1.
 
-    Returns an (n_filters, fft_size//2 + 1) matrix of bin weights; each row
+    Returns a read-only (n_filters, fft_size//2 + 1) matrix of bin weights,
+    built once per argument triple and kept in a small cache; each row
     rises linearly in Hz from its left vertex to its center and falls to its
     right vertex.
     """
     if n_filters < 1:
         raise ValueError("n_filters must be >= 1")
-    vertices = _mel_vertices(n_filters, sample_rate)
+    vertices = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_filters + 2))
     left, center, right = vertices[:-2, None], vertices[1:-1, None], vertices[2:, None]
     freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
     rise = (freqs - left) / (center - left)
     fall = (right - freqs) / (right - center)
-    return np.maximum(0.0, np.minimum(rise, fall))
-
-
-@functools.lru_cache(maxsize=8)
-def _filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """Read-only mel_filterbank, built once per argument triple."""
-    bank = mel_filterbank(n_filters, fft_size, sample_rate)
+    bank = np.maximum(0.0, np.minimum(rise, fall))
     bank.flags.writeable = False
     return bank
 
@@ -113,19 +103,14 @@ def _hamming(length: int) -> np.ndarray:
     return window
 
 
-def filter_centers(config: FeatureConfig, sample_rate: int) -> np.ndarray:
-    """Center frequency (Hz) of each mel filter under this config."""
-    return _mel_vertices(config.n_filters, sample_rate)[1:-1]
-
-
 def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Per-frame one-sided spectrum of the full analysis frames.
 
     Pre-emphasis, analysis window, real FFT zero padded to the next power of
     two, then |X|^2 (config.use_power) or |X|. Returns an
-    (n_frames, fft_size//2 + 1) matrix. The Hamming window is built once
-    per frame length, and mel_energies builds its filterbank once per
-    (n_filters, fft_size, sample_rate); both come from small caches.
+    (n_frames, fft_size//2 + 1) matrix, which mel_energies weights by the
+    cached mel_filterbank. The Hamming window is built once per frame
+    length and comes from a small cache.
     """
     frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
     hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
@@ -145,7 +130,7 @@ def mel_energies(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) ->
     """Per-frame filterbank energies before the log (n_frames x n_filters)."""
     spec = spectrum(audio, config)
     fft_size = max(1, 2 * (spec.shape[1] - 1))  # a power of two, so the bins fix it
-    bank = _filterbank(config.n_filters, fft_size, audio.sample_rate)
+    bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate)
     return spec @ bank.T
 
 

@@ -45,6 +45,8 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
     phase stream is drawn from a generator seeded once per call, making the
     output a pure function of (samples, window, seed).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     rng = np.random.default_rng(seed)
     blocks = tiles(audio.samples, w)  # full windows first, so they draw first

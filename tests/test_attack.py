@@ -466,7 +466,7 @@ def test_load_remote_config(tmp_path):
     ("url", 5), ("method", None), ("content_type", ["audio/wav"]),
     ("transcript_json_path", 0), ("auth_env", 1), ("budget", "3"),
     ("budget", 3.0), ("budget", True), ("max_word_edit_distance", "2"),
-    ("max_word_edit_distance", False)])
+    ("max_word_edit_distance", False), ("max_word_edit_distance", -1)])
 def test_load_remote_config_rejects_bad_types(tmp_path, key, value):
     path = tmp_path / "remote.json"
     path.write_text(json.dumps({"url": "http://x", key: value}))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,13 @@ def test_invalid_bands_rejected():
         simulate(buf, ChannelConfig(band_high=9000.0))
     with pytest.raises(ValueError):
         simulate(buf, ChannelConfig(band_low=-1.0))
+
+
+def test_negative_seed_rejected_for_every_config():
+    buf = random_buffer(56, 1000)
+    for config in (ChannelConfig(), ChannelConfig(snr_db=15.0), PRESETS["harsh"]):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(buf, replace(config, seed=-1))
 
 
 def test_parse_channel_config_roundtrip():

@@ -288,6 +288,17 @@ def test_attack_badly_typed_remote_config_exits_2(tmp_path, wav_on_disk, capsys)
     assert "budget" in capsys.readouterr().err
 
 
+def test_attack_negative_edit_distance_remote_config_exits_2(tmp_path, wav_on_disk,
+                                                            capsys):
+    config_path = tmp_path / "stt.json"
+    config_path.write_text(json.dumps({"url": "http://localhost:9/stt",
+                                       "max_word_edit_distance": -1}))
+    src = wav_on_disk(band_noise(8, duration_s=0.2))
+    assert main(["attack", str(src), "--target-phrase", "x",
+                 "--backend", f"remote:{config_path}"]) == 2
+    assert "max_word_edit_distance" in capsys.readouterr().err
+
+
 def test_spectrogram_writes_pgm(tmp_path, wav_on_disk):
     src = wav_on_disk(band_noise(5, duration_s=0.5))
     dst = tmp_path / "spec.pgm"
@@ -343,6 +354,21 @@ def test_non_finite_parameters_exit_2(tmp_path, wav_on_disk, capsys, argv):
         paths[name].write_text(text)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{src}", "{out}", "--channel", "harsh", "--seed", "-3"],
+    ["simulate", "{src}", "{out}", "--channel", "{chan}"],
+    ["perturb", "{src}", "{out}", "--rpg-ms", "1", "--seed", "-3"],
+    ["sweep", "{src}", "{out}", "--rpg-ms-range", "1:2:1", "--seed", "-1"],
+], ids=["simulate-flag", "simulate-file", "perturb", "sweep"])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, wav_on_disk, capsys, argv):
+    src = wav_on_disk(band_noise(10, duration_s=0.2))
+    chan = tmp_path / "chan.cfg"
+    chan.write_text("seed = -1\n")  # rejected even with no noise to draw
+    paths = {"src": src, "out": tmp_path / "out", "chan": chan}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_2():

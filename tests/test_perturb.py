@@ -107,6 +107,8 @@ def test_rpg_determinism_and_seed_sensitivity():
     c = rpg(buf, 2.0, seed=2)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+    with pytest.raises(ValueError, match="seed"):
+        rpg(buf, 2.0, seed=-1)
 
 
 def test_rpg_tiny_windows_are_identity():

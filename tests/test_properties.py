@@ -1,5 +1,5 @@
 """Property tests: the framing and tiling kernels, the vectorized
-per-window code, the FFT FIR, the VAD run finder and the lazy attack
+per-window code, the FFT FIR, the band-pass length, the VAD run finder and the lazy attack
 searches against their definitions and the references in oracles.py,
 over arbitrary lengths, windows, taps, seeds, schedules and budgets; VAD
 scale covariance, the WAV and manifest round-trips, and read_wav on
@@ -18,7 +18,7 @@ from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_
 from garble.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
 from garble.channel import PRESETS, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
-from garble.dsp import apply_fir, frames, tiles, window_ms_to_samples
+from garble.dsp import apply_fir, frames, lowpass_length, tiles, window_ms_to_samples
 from garble.features import extract_features, feature_distance
 from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
@@ -158,6 +158,20 @@ def test_harsh_simulate_wav_bytes_match_direct_convolution(monkeypatch):
     monkeypatch.setattr("garble.channel.apply_fir", counted_direct)
     assert aired_wavs() == fft
     assert calls == [len(x) for x in inputs]  # simulate went through the patched name
+
+
+@bounded
+@given(rate=st.sampled_from((8000, 16000, 22050, 44100, 48000)),
+       low=st.floats(0.001, 0.499), high=st.floats(0.5, 0.999),
+       sides=st.sampled_from(("low", "high", "both")))
+def test_band_taps_length_is_the_longer_edge_length(rate, low, high, sides):
+    # edges as fractions of Nyquist; the tap count is the larger of the two
+    # edges' lowpass_length, as when each edge was sized on its own
+    low = 0.0 if sides == "high" else low * rate / 2.0
+    high = None if sides == "low" else high * rate / 2.0
+    want = max(lowpass_length(high, rate) if high is not None else 1,
+               lowpass_length(low, rate) if low > 0.0 else 1)
+    assert len(_band_taps(low, high, rate)) == want
 
 
 # --- VAD, WAV and manifest ------------------------------------------------------
