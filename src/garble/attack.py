@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import typing
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
@@ -292,6 +293,12 @@ def phrase_matches(transcript: str, target: str, max_word_edit: int = 2) -> bool
 
 @dataclass(frozen=True)
 class RemoteConfig:
+    """How to reach a transcription API. Each field is checked at
+    construction, whether the config is built in code, read by
+    load_remote_config or copied by replace: a wrong type (bool counts as
+    wrong) or a negative max_word_edit_distance raises a ValueError that
+    names the field. The budget's range is checked by the backend."""
+
     url: str
     method: str = "POST"
     auth_env: str | None = None      # env var holding the bearer token
@@ -300,8 +307,19 @@ class RemoteConfig:
     budget: int = DEFAULT_QUERY_BUDGET
     max_word_edit_distance: int = 2
 
+    def __post_init__(self):
+        for key, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, hint):
+                raise ValueError(f"remote config {key} has the wrong type: {value!r}")
+        if self.max_word_edit_distance < 0:
+            raise ValueError("remote config max_word_edit_distance must be >= 0")
+
 
 def load_remote_config(path: str) -> RemoteConfig:
+    """Read a RemoteConfig from a JSON object file. The file must be an
+    object with no unknown keys and a url; RemoteConfig checks the values.
+    Raises ValueError (JSON errors included) or OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -312,17 +330,6 @@ def load_remote_config(path: str) -> RemoteConfig:
         raise ValueError(f"unknown remote config keys: {sorted(unknown)}")
     if "url" not in raw:
         raise ValueError("remote config requires url")
-    for key, value in raw.items():
-        if key in ("budget", "max_word_edit_distance"):
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif key == "auth_env":
-            ok = value is None or isinstance(value, str)
-        else:
-            ok = isinstance(value, str)
-        if not ok:
-            raise ValueError(f"remote config {key} has the wrong type: {value!r}")
-    if raw.get("max_word_edit_distance", 0) < 0:
-        raise ValueError("remote config max_word_edit_distance must be >= 0")
     return RemoteConfig(**raw)
 
 
@@ -341,9 +348,15 @@ def _walk_json_path(document, path: str):
 
 
 class RemoteTranscriber(TranscriberBackend):
-    """HTTP backend: one request per query, WAV bytes in, JSON out."""
+    """HTTP backend: one request per query, WAV bytes in, JSON out.
+
+    A target phrase with no words raises ValueError: it would match a
+    transcript of silence.
+    """
 
     def __init__(self, config: RemoteConfig, target_phrase: str):
+        if not normalize_phrase(target_phrase):
+            raise ValueError(f"target phrase {target_phrase!r} has no words")
         super().__init__(config.budget)
         self.config = config
         self.target_phrase = target_phrase

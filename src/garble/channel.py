@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,10 @@ from .dsp import apply_fir, design_lowpass, lowpass_length, renormalize
 
 @dataclass(frozen=True)
 class ChannelConfig:
+    """One room. Every rule that needs no sample rate is checked here, at
+    construction; the band's upper edge is checked against Nyquist, and the
+    reverb delay against one sample, when simulate runs."""
+
     band_low: float = 0.0            # Hz; 0 disables the high-pass side
     band_high: float | None = None   # Hz; None -> Nyquist (no low-pass side)
     snr_db: float = math.inf         # inf -> no added noise
@@ -27,6 +31,22 @@ class ChannelConfig:
     reverb_delay_ms: float = 0.0
     reverb_decay: float = 0.0
     reverb_taps: int = 0             # 0 disables reverb
+
+    def __post_init__(self):
+        high = math.inf if self.band_high is None else self.band_high
+        if not 0.0 <= self.band_low < high:
+            raise ValueError("need 0 <= band_low < band_high")
+        if not -math.inf < self.snr_db <= math.inf:
+            raise ValueError("snr_db must be finite or +inf")
+        # index(): a float seed or tap count is a TypeError, not a silent cast
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if operator.index(self.reverb_taps) < 0:
+            raise ValueError("reverb_taps must be >= 0")
+        if not 0.0 <= self.reverb_decay < math.inf:
+            raise ValueError("reverb_decay must be finite and >= 0")
+        if not math.isfinite(self.reverb_delay_ms):
+            raise ValueError("reverb_delay_ms must be finite")
 
 
 PRESETS = {
@@ -46,8 +66,8 @@ def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray |
     """
     nyquist = sample_rate / 2.0
     high = high if high is not None else nyquist
-    if not 0.0 <= low < high <= nyquist:
-        raise ValueError("need 0 <= band_low < band_high <= Nyquist")
+    if not low < high <= nyquist:  # ChannelConfig holds the rest of the band rule
+        raise ValueError("need band_low < band_high <= Nyquist")
     if low == 0.0 and high == nyquist:
         return None
 
@@ -74,12 +94,6 @@ def _unit_noise(seed: int, n: int) -> tuple[np.ndarray, float]:
 
 
 def _add_reverb(x: np.ndarray, config: ChannelConfig, sample_rate: int) -> np.ndarray:
-    if config.reverb_taps < 0:
-        raise ValueError("reverb_taps must be >= 0")
-    if not 0.0 <= config.reverb_decay < math.inf:
-        raise ValueError("reverb_decay must be finite and >= 0")
-    if not math.isfinite(config.reverb_delay_ms):
-        raise ValueError("reverb_delay_ms must be finite")
     if config.reverb_taps == 0:
         return x
     delay = round(config.reverb_delay_ms * sample_rate / 1000.0)
@@ -107,18 +121,17 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     rate), and the unscaled noise and its power once per (seed, length);
     both come from small caches, as does the taps' spectrum in
     dsp.apply_fir.
+
+    The config has checked its own fields; only the rules that need the
+    sample rate (band_high <= Nyquist, a reverb delay of at least one
+    sample) are checked here, and raise ValueError.
     """
-    if not -math.inf < config.snr_db <= math.inf:
-        raise ValueError("snr_db must be finite or +inf")
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
     taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
     out = _add_reverb(out, config, audio.sample_rate)
 
     if math.isfinite(config.snr_db):
-        # index(): a float seed fails as default_rng fails, not as an int's cache hit
-        noise, p_noise_raw = _unit_noise(operator.index(config.seed), len(out))
+        noise, p_noise_raw = _unit_noise(config.seed, len(out))
         p_sig = float(np.mean(out ** 2)) if len(out) else 0.0
         target = p_sig * 10.0 ** (-config.snr_db / 10.0)
         if p_noise_raw > 0.0 and target > 0.0:
@@ -132,10 +145,11 @@ def parse_channel_config(text: str) -> ChannelConfig:
     """key=value lines ('#' comments allowed) over the ChannelConfig fields.
 
     snr_db accepts "inf"; unknown keys are rejected so typos fail loudly.
+    The file is judged as a whole: its values go into one ChannelConfig,
+    whose checks raise ValueError.
     """
-    floats = {"band_low", "band_high", "snr_db", "reverb_delay_ms", "reverb_decay"}
     ints = {"seed", "reverb_taps"}
-    config = ChannelConfig()
+    fields = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,13 +157,10 @@ def parse_channel_config(text: str) -> ChannelConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in floats:
-            config = replace(config, **{key: float(value)})
-        elif key in ints:
-            config = replace(config, **{key: int(value)})
-        else:
+        if key not in ChannelConfig.__dataclass_fields__:
             raise ValueError(f"line {lineno}: unknown channel key {key!r}")
-    return config
+        fields[key] = int(value) if key in ints else float(value)
+    return ChannelConfig(**fields)
 
 
 def resolve_channel(name_or_path: str) -> ChannelConfig:

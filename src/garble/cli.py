@@ -7,6 +7,7 @@ backend unreachable), 2 usage/parameter errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from dataclasses import replace
@@ -47,7 +48,10 @@ def parse_float_range(text: str) -> tuple[float, ...]:
         raise ValueError("range STEP must be positive")
     if stop < start:
         raise ValueError("range end before start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    points = (stop - start) / step + 1e-9
+    if not math.isfinite(points):
+        raise ValueError(f"range {text!r} has too many points to count")
+    count = int(math.floor(points)) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -286,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"query cap (default {DEFAULT_QUERY_BUDGET}, or the "
                         "remote config's budget)")
     p.add_argument("--out", default=None, help="where to write the winning audio")
-    p.add_argument("--start-ms", type=float, default=1.0)
-    p.add_argument("--step-ms", type=float, default=0.5)
-    p.add_argument("--count", type=int, default=10)
+    ladder = inspect.signature(tdi_probe_schedule).parameters
+    p.add_argument("--start-ms", type=float, default=ladder["start_ms"].default)
+    p.add_argument("--step-ms", type=float, default=ladder["step_ms"].default)
+    p.add_argument("--count", type=int, default=ladder["count"].default)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("spectrogram", help="write a log-magnitude PGM image")

@@ -468,10 +468,23 @@ def test_load_remote_config(tmp_path):
     ("budget", 3.0), ("budget", True), ("max_word_edit_distance", "2"),
     ("max_word_edit_distance", False), ("max_word_edit_distance", -1)])
 def test_load_remote_config_rejects_bad_types(tmp_path, key, value):
+    fields = {"url": "http://x", key: value}
     path = tmp_path / "remote.json"
-    path.write_text(json.dumps({"url": "http://x", key: value}))
+    path.write_text(json.dumps(fields))
     with pytest.raises(ValueError, match=key):
         load_remote_config(str(path))
+    with pytest.raises(ValueError, match=key):  # built in code: the same checks
+        RemoteConfig(**fields)
+
+
+@pytest.mark.parametrize("phrase", ["", "!!!", " . "])
+def test_remote_backend_rejects_a_target_phrase_with_no_words(stub_server, phrase):
+    # silence would match it: the API hears nothing and the query is "accepted"
+    stub_server.responses = [(200, json.dumps({"transcript": ""}).encode())]
+    assert phrase_matches("", phrase)
+    with pytest.raises(ValueError, match="no words"):
+        RemoteTranscriber(RemoteConfig(url=_url(stub_server)), phrase)
+    assert stub_server.requests == []
 
 
 def test_generic_attack_over_remote_backend(stub_server):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,8 @@ def test_invalid_bands_rejected():
         simulate(buf, ChannelConfig(band_high=9000.0))
     with pytest.raises(ValueError):
         simulate(buf, ChannelConfig(band_low=-1.0))
+    with pytest.raises(ValueError, match="Nyquist"):  # band_high None means Nyquist
+        simulate(buf, ChannelConfig(band_low=8000.0))
 
 
 def test_negative_seed_rejected_for_every_config():
@@ -109,6 +112,34 @@ def test_negative_seed_rejected_for_every_config():
     for config in (ChannelConfig(), ChannelConfig(snr_db=15.0), PRESETS["harsh"]):
         with pytest.raises(ValueError, match="seed"):
             simulate(buf, replace(config, seed=-1))
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"band_low": -1.0}, ValueError),
+    ({"band_low": 4000.0, "band_high": 300.0}, ValueError),
+    ({"band_low": 300.0, "band_high": 300.0}, ValueError),
+    ({"snr_db": math.nan}, ValueError),
+    ({"snr_db": -math.inf}, ValueError),
+    ({"seed": -1}, ValueError),
+    ({"seed": 1.5}, TypeError),
+    ({"reverb_taps": -1}, ValueError),
+    ({"reverb_taps": 1.5}, TypeError),
+    ({"reverb_decay": math.inf}, ValueError),
+    ({"reverb_decay": math.nan}, ValueError),
+    ({"reverb_delay_ms": math.inf}, ValueError),
+], ids=["band-low-negative", "band-inverted", "band-empty", "snr-nan", "snr-minus-inf",
+        "seed-negative", "seed-float", "taps-negative", "taps-float", "decay-inf",
+        "decay-nan", "delay-inf"])
+def test_channel_config_checks_itself(fields, error):
+    # rejected at construction, before any audio or sample rate is seen
+    with pytest.raises(error, match=next(iter(fields)) if error is ValueError else None):
+        ChannelConfig(**fields)
+
+
+def test_reverb_delay_under_one_sample_rejected():
+    config = ChannelConfig(reverb_taps=1, reverb_delay_ms=0.01)  # needs the rate
+    with pytest.raises(ValueError, match="one sample"):
+        simulate(random_buffer(57, 1000), config)
 
 
 def test_parse_channel_config_roundtrip():
@@ -137,6 +168,8 @@ def test_parse_channel_config_rejects_junk():
         parse_channel_config("band_low 100")
     with pytest.raises(ValueError):
         parse_channel_config("seed = 1.5")
+    with pytest.raises(ValueError, match="reverb_decay"):
+        parse_channel_config("reverb_decay = inf")  # checked with no taps to use it
 
 
 def test_resolve_channel_preset_and_file(tmp_path):

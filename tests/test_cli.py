@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import garble
 from garble.attack import BackendError
 from garble.audio_io import read_wav, write_wav
 from garble.cli import (
+    build_parser,
     format_manifest_line,
     main,
     parse_float_range,
@@ -18,7 +20,8 @@ from garble.cli import (
     parse_manifest_line,
 )
 from garble.features import extract_features
-from garble.perturb import PerturbationParams, apply_params, expand_grid, ParamGrid
+from garble.perturb import (PerturbationParams, apply_params, expand_grid, ParamGrid,
+                            tdi_probe_schedule)
 from synth import band_noise, burst_fixture, random_buffer
 
 
@@ -35,6 +38,9 @@ def test_parse_float_range():
         parse_float_range("3:1:0.5")
     with pytest.raises(ValueError):
         parse_float_range("1:3:0")
+    for text in ("0:1e300:1e-300", "-1e308:1e308:1"):  # the count overflows
+        with pytest.raises(ValueError, match="too many points"):
+            parse_float_range(text)
 
 
 def test_parse_hfa():
@@ -299,6 +305,32 @@ def test_attack_negative_edit_distance_remote_config_exits_2(tmp_path, wav_on_di
     assert "max_word_edit_distance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phrase", ["", "!!!"])
+def test_attack_target_phrase_with_no_words_exits_2(tmp_path, wav_on_disk, capsys,
+                                                    phrase):
+    config_path = tmp_path / "stt.json"
+    config_path.write_text(json.dumps({"url": "http://localhost:9/stt"}))
+    src = wav_on_disk(band_noise(8, duration_s=0.2))
+    assert main(["attack", str(src), "--target-phrase", phrase,
+                 "--backend", f"remote:{config_path}"]) == 2
+    assert "no words" in capsys.readouterr().err
+
+
+def test_attack_ladder_defaults_come_from_tdi_probe_schedule(monkeypatch):
+    argv = ["attack", "in.wav", "--target-phrase", "x", "--backend", "mock:r.wav:1"]
+    ladder = inspect.signature(tdi_probe_schedule).parameters
+    args = build_parser().parse_args(argv)
+    assert (args.start_ms, args.step_ms, args.count) == tuple(
+        ladder[name].default for name in ("start_ms", "step_ms", "count"))
+
+    def other_ladder(start_ms=2.0, step_ms=0.25, count=3, rpg_seed=0):
+        return tdi_probe_schedule(start_ms, step_ms, count, rpg_seed)
+
+    monkeypatch.setattr("garble.cli.tdi_probe_schedule", other_ladder)
+    args = build_parser().parse_args(argv)
+    assert (args.start_ms, args.step_ms, args.count) == (2.0, 0.25, 3)
+
+
 def test_spectrogram_writes_pgm(tmp_path, wav_on_disk):
     src = wav_on_disk(band_noise(5, duration_s=0.5))
     dst = tmp_path / "spec.pgm"
@@ -330,6 +362,7 @@ def test_cli_error_paths(tmp_path, wav_on_disk, capsys):
     ["perturb", "{src}", "{out}", "--tdi-ms", "inf"],
     ["perturb", "{src}", "{out}", "--ts", "inf"],
     ["sweep", "{src}", "{out}", "--tdi-ms-range", "1:inf:1"],
+    ["sweep", "{src}", "{out}", "--tdi-ms-range", "0:1e300:1e-300"],
     ["perturb", "{src}", "{out}", "--hfa", "7500:inf"],
     ["features", "{src}", "--frame-ms", "inf"],
     ["features", "{src}", "--pre-emphasis", "nan"],
@@ -340,7 +373,7 @@ def test_cli_error_paths(tmp_path, wav_on_disk, capsys):
     ["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:1e9",
      "--start-ms", "inf"],
     ["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:nan"],
-], ids=["perturb-tdi", "perturb-ts", "sweep", "perturb-hfa-amp", "features",
+], ids=["perturb-tdi", "perturb-ts", "sweep", "sweep-count", "perturb-hfa-amp", "features",
         "features-pre-emphasis", "compare", "simulate", "simulate-reverb-decay",
         "simulate-nan-snr", "attack-start", "attack-nan-threshold"])
 def test_non_finite_parameters_exit_2(tmp_path, wav_on_disk, capsys, argv):
