@@ -43,8 +43,9 @@ class ChannelConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if operator.index(self.reverb_taps) < 0:
             raise ValueError("reverb_taps must be >= 0")
-        if not 0.0 <= self.reverb_decay < math.inf:
-            raise ValueError("reverb_decay must be finite and >= 0")
+        # a decay above 1 makes a growing tap train, not a reverb
+        if not 0.0 <= self.reverb_decay <= 1.0:
+            raise ValueError(f"reverb_decay must be in [0, 1], got {self.reverb_decay}")
         if not math.isfinite(self.reverb_delay_ms):
             raise ValueError("reverb_delay_ms must be finite")
 

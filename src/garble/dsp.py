@@ -1,5 +1,5 @@
 """Shared signal kernels: ms-to-samples conversion, framing and tiling, peak
-renormalization, FIR low-pass, SNR measurement."""
+renormalization, FIR low-pass design and FFT filtering."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft
 
 from .audio_io import AudioBuffer
 
@@ -101,16 +100,33 @@ def design_lowpass(cutoff_hz: float, sample_rate: int,
 
 
 @functools.lru_cache(maxsize=8)
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2**a * 3**b * 5**c) >= n, an FFT size
+    that np.fft transforms without falling back to a slow prime factor."""
+    best = next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * next_pow2(-(-n // p35)))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=8)
 def _taps_spectrum(taps_bytes: bytes, dtype: str, size: int) -> np.ndarray:
     """Read-only rfft of the taps (given as raw bytes) zero padded to size."""
-    spec = scipy.fft.rfft(np.frombuffer(taps_bytes, dtype), size)
+    spec = np.fft.rfft(np.frombuffer(taps_bytes, dtype), size)
     spec.flags.writeable = False
     return spec
 
 
 def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
-    """Convolve by FFT and compensate the (numtaps-1)/2 group delay; length
-    preserved. Matches direct convolution to rounding, not bit for bit.
+    """Convolve by FFT (np.fft, zero padded to the 5-smooth size _fast_len
+    of the full convolution) and compensate the (numtaps-1)/2 group delay;
+    length preserved. Matches direct convolution to rounding, not bit for
+    bit.
 
     The taps' spectrum is built once per (taps bytes, dtype, FFT size) and
     reused from a small cache, so repeated calls with the same taps on
@@ -122,30 +138,10 @@ def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
     n = len(audio.samples)
     if n == 0:
         return audio
-    size = scipy.fft.next_fast_len(n + numtaps - 1, real=True)
+    size = _fast_len(n + numtaps - 1)
     spec = _taps_spectrum(taps.tobytes(), taps.dtype.str, size)
-    product = scipy.fft.rfft(audio.samples, size) * spec
-    full = scipy.fft.irfft(product, size)
+    product = np.fft.rfft(audio.samples, size) * spec
+    full = np.fft.irfft(product, size)
     delay = (numtaps - 1) // 2
     return AudioBuffer(full[delay:delay + n], audio.sample_rate)
 
-
-def low_pass(audio: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
-    """Zero-phase-aligned FIR low-pass at cutoff_hz (see design_lowpass)."""
-    return apply_fir(audio, design_lowpass(cutoff_hz, audio.sample_rate))
-
-
-def measure_snr(reference: AudioBuffer, test: AudioBuffer) -> float:
-    """10*log10(P_ref / P_residual) in dB; +inf when the signals are identical."""
-    if len(reference.samples) != len(test.samples):
-        raise ValueError("length mismatch")
-    if reference.sample_rate != test.sample_rate:
-        raise ValueError("sample rate mismatch")
-    p_ref = float(np.mean(reference.samples ** 2)) if len(reference) else 0.0
-    residual = test.samples - reference.samples
-    p_res = float(np.mean(residual ** 2)) if len(reference) else 0.0
-    if p_res == 0.0:
-        return math.inf
-    if p_ref == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(p_ref / p_res)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .audio_io import AudioBuffer
 from .dsp import frames, next_pow2, tiles, window_ms_to_samples
@@ -103,6 +102,22 @@ def _hamming(length: int) -> np.ndarray:
     return window
 
 
+@functools.lru_cache(maxsize=8)
+def _dct_rows(n_coeffs: int, n_filters: int) -> np.ndarray:
+    """Read-only first n_coeffs rows of the orthonormal DCT-II matrix on
+    n = n_filters points, built once per pair and kept in a small cache:
+    row k weights point i by sqrt((1 if k == 0 else 2) / n) *
+    cos(pi * k * (2i + 1) / (2n))."""
+    k = np.arange(n_coeffs)[:, None]
+    i = np.arange(n_filters)
+    # reduce the phase k * (2i + 1) mod 4 * n_filters exactly, in integers
+    phase = (k * (2 * i + 1)) % (4 * n_filters)
+    rows = np.cos(np.pi * phase / (2 * n_filters))
+    rows *= np.where(k == 0, math.sqrt(1.0 / n_filters), math.sqrt(2.0 / n_filters))
+    rows.flags.writeable = False
+    return rows
+
+
 def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Per-frame one-sided spectrum of the full analysis frames.
 
@@ -138,11 +153,16 @@ def extract_features(audio: AudioBuffer,
                      config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Feature matrix for the buffer; MFCC rows by default, MFSC rows when
     config.include_dct is False. Frame count obeys
-    (len - frame) // hop + 1 (99 rows for 1 s at 16 kHz defaults)."""
+    (len - frame) // hop + 1 (99 rows for 1 s at 16 kHz defaults).
+
+    MFCC rows are the log energies times the cached DCT-II rows of
+    _dct_rows, so only the kept coefficients are computed. They match an
+    orthonormal FFT-based DCT-II to rounding (within 6e-14 on log
+    energies), not bit for bit."""
     energies = mel_energies(audio, config)
     logs = np.log(np.maximum(energies, _LOG_FLOOR))
     if config.include_dct:
-        data = scipy.fft.dct(logs, type=2, norm="ortho", axis=1)[:, :config.n_coefficients]
+        data = logs @ _dct_rows(config.n_coefficients, config.n_filters).T
     else:
         data = logs
     return FeatureMatrix(np.ascontiguousarray(data), config, audio.sample_rate)

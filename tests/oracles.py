@@ -3,15 +3,17 @@
 The signal references are computed from first principles: explicit DFT
 matrices instead of np.fft, a hand-written DCT-II, a hand-built mel
 filterbank. They import nothing from the package under test, so agreement
-between the two routes is evidence rather than tautology. The per-window
-loops after them are the package's earlier loop implementations of rpg,
-the VAD frame energies and the VAD run finder, kept as references for the
-vectorized code, and its earlier direct-convolution FIR, the reference for
-the FFT one. The
-attack searches at the end are the package's earlier eager versions, which
-render the whole schedule before the first query; they reuse the package's
-renderer, features and types, so they pin down only the search order and
-the query accounting of the lazy versions.
+between the two routes is evidence rather than tautology. measure_snr is
+the SNR the channel tests hold the simulator to; low_pass is the package's
+FIR design and filter composed into the low-pass the tests strip tones
+with. The per-window loops after them are the package's earlier loop
+implementations of rpg, the VAD frame energies and the VAD run finder,
+kept as references for the vectorized code, and its earlier
+direct-convolution FIR, the reference for the FFT one. The attack searches
+at the end are the package's earlier eager versions, which render the
+whole schedule before the first query; they reuse the package's renderer,
+features and types, so they pin down only the search order and the query
+accounting of the lazy versions.
 """
 
 import itertools
@@ -24,7 +26,7 @@ import numpy as np
 from garble.attack import AttackCandidate, ExhaustionReport, distortion_key
 from garble import vad
 from garble.audio_io import AudioBuffer
-from garble.dsp import window_ms_to_samples
+from garble.dsp import apply_fir, design_lowpass, window_ms_to_samples
 from garble.features import extract_features, feature_distance
 from garble.perturb import apply_params
 
@@ -176,6 +178,29 @@ def sine_fit_amplitude(x, sample_rate, freq_hz):
     )
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def measure_snr(reference, test):
+    """10*log10(P_ref / P_residual) in dB for two AudioBuffers; +inf when
+    they are identical, -inf when the reference is silent."""
+    if len(reference.samples) != len(test.samples):
+        raise ValueError("length mismatch")
+    if reference.sample_rate != test.sample_rate:
+        raise ValueError("sample rate mismatch")
+    p_ref = float(np.mean(reference.samples ** 2)) if len(reference) else 0.0
+    residual = test.samples - reference.samples
+    p_res = float(np.mean(residual ** 2)) if len(reference) else 0.0
+    if p_res == 0.0:
+        return math.inf
+    if p_ref == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(p_ref / p_res)
+
+
+def low_pass(audio, cutoff_hz):
+    """The package's zero-phase-aligned FIR low-pass at cutoff_hz:
+    apply_fir with design_lowpass taps at the buffer's rate."""
+    return apply_fir(audio, design_lowpass(cutoff_hz, audio.sample_rate))
 
 
 def rpg_loop(x, w, seed):

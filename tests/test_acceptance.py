@@ -15,7 +15,6 @@ from garble.attack import AttackCandidate, MockOracle, generic_attack
 from garble.audio_io import AudioBuffer, read_wav, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.cli import main
-from garble.dsp import low_pass
 from garble.features import FeatureConfig, extract_features, mel_energies
 from garble.perturb import (
     PerturbationParams,
@@ -27,7 +26,8 @@ from garble.perturb import (
     ts,
 )
 from garble.vad import detect_speech
-from oracles import direct_idft, direct_rfft, direct_window_mags, mfcc_reference
+from oracles import (direct_idft, direct_rfft, direct_window_mags, low_pass,
+                     measure_snr, mfcc_reference)
 from synth import band_noise, burst_fixture
 
 
@@ -113,8 +113,7 @@ def test_ac03_hfa_reversible_by_lowpass():
         trim = 200
         ref = AudioBuffer(content.samples[trim:-trim], sr)
         got = AudioBuffer(recovered.samples[trim:-trim], sr)
-        residual = got.samples - ref.samples
-        snr = 10.0 * np.log10(np.mean(ref.samples ** 2) / np.mean(residual ** 2))
+        snr = measure_snr(ref, got)
         assert snr >= 30.0, snr
 
 
@@ -249,9 +248,7 @@ def test_ac10_channel_snr_calibration():
         for target in [10.0, 20.0, 30.0]:
             out, scale = simulate(buf, ChannelConfig(snr_db=target, seed=11))
             assert scale == 1.0
-            residual = out.samples - buf.samples
-            got = 10.0 * np.log10(
-                np.mean(buf.samples ** 2) / np.mean(residual ** 2))
+            got = measure_snr(buf, out)
             assert abs(got - target) <= 1.0, (target, got)
         out, scale = simulate(buf, PRESETS["transparent"])
         assert scale == 1.0

@@ -1,12 +1,11 @@
 """The per-configuration tables (band-pass taps, their spectrum, channel
-noise, Hamming window, mel filterbank) are built once and cached: every
-cached array is read-only, a repeated call returns the same object, and
-cold and warm caches give the same bytes."""
+noise, Hamming window, mel filterbank, DCT rows) are built once and
+cached: every cached array is read-only, a repeated call returns the same
+object, and cold and warm caches give the same bytes."""
 
 from dataclasses import replace
 
 import pytest
-import scipy.fft
 
 from garble import channel, dsp, features
 from garble.audio_io import write_wav
@@ -15,7 +14,7 @@ from garble.features import FeatureConfig, extract_features
 from synth import random_buffer
 
 CACHES = (channel._band_taps, channel._unit_noise, dsp._taps_spectrum,
-          features.mel_filterbank, features._hamming)
+          features.mel_filterbank, features._hamming, features._dct_rows)
 LENGTHS = (1, 300, 1601, 24000)
 RATES = (16000, 22050)
 CHANNELS = (PRESETS["harsh"], replace(PRESETS["harsh"], seed=5),
@@ -64,13 +63,14 @@ def test_cached_tables_are_read_only():
     simulate(random_buffer(1, 24000), harsh)
     extract_features(random_buffer(2, 24000))
     taps = channel._band_taps(harsh.band_low, harsh.band_high, 16000)
-    size = scipy.fft.next_fast_len(24000 + len(taps) - 1, real=True)
+    size = dsp._fast_len(24000 + len(taps) - 1)
     tables = [
         taps,
         dsp._taps_spectrum(taps.tobytes(), taps.dtype.str, size),
         channel._unit_noise(harsh.seed, 24000)[0],
         features.mel_filterbank(26, 512, 16000),
         features._hamming(320),
+        features._dct_rows(13, 26),
     ]
     for cache in CACHES:  # the two calls above built every table fetched here
         assert cache.cache_info().hits >= 1

@@ -12,8 +12,7 @@ from garble.channel import (
     resolve_channel,
     simulate,
 )
-from garble.dsp import measure_snr
-from oracles import sine_fit_amplitude
+from oracles import measure_snr, sine_fit_amplitude
 from synth import SR, band_noise, random_buffer, sine_buffer
 
 
@@ -126,10 +125,11 @@ def test_negative_seed_rejected_for_every_config():
     ({"reverb_taps": 1.5}, TypeError),
     ({"reverb_decay": math.inf}, ValueError),
     ({"reverb_decay": math.nan}, ValueError),
+    ({"reverb_decay": 1.0 + 1e-9}, ValueError),
     ({"reverb_delay_ms": math.inf}, ValueError),
 ], ids=["band-low-negative", "band-inverted", "band-empty", "snr-nan", "snr-minus-inf",
         "seed-negative", "seed-float", "taps-negative", "taps-float", "decay-inf",
-        "decay-nan", "delay-inf"])
+        "decay-nan", "decay-above-one", "delay-inf"])
 def test_channel_config_checks_itself(fields, error):
     # rejected at construction, before any audio or sample rate is seen
     with pytest.raises(error, match=next(iter(fields)) if error is ValueError else None):

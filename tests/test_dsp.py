@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
-from garble.dsp import (
-    apply_fir,
-    design_lowpass,
-    frames,
-    low_pass,
-    measure_snr,
-    next_pow2,
-)
-from oracles import sine_fit_amplitude
+from garble.dsp import apply_fir, design_lowpass, frames, next_pow2
+from oracles import low_pass, measure_snr, sine_fit_amplitude
 from synth import SR, random_buffer, sine_buffer
 
 

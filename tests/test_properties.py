@@ -1,9 +1,9 @@
-"""Property tests: the framing and tiling kernels, the vectorized
-per-window code, the FFT FIR, the band-pass length, the VAD run finder and the lazy attack
-searches against their definitions and the references in oracles.py,
-over arbitrary lengths, windows, taps, seeds, schedules and budgets; VAD
-scale covariance, the WAV and manifest round-trips, and read_wav on
-arbitrary and damaged bytes."""
+"""Property tests: the framing and tiling kernels, the vectorized per-window
+code, the FFT FIR and its FFT size, the band-pass length, the VAD run
+finder and the lazy attack searches against their definitions and the
+references in oracles.py, over arbitrary lengths, windows, taps, seeds,
+schedules and budgets; VAD scale covariance, the WAV and manifest
+round-trips, and read_wav on arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -11,14 +11,16 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.fft
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_attack
 from garble.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
 from garble.channel import PRESETS, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
-from garble.dsp import apply_fir, frames, lowpass_length, tiles, window_ms_to_samples
+from garble.dsp import (_fast_len, apply_fir, frames, lowpass_length, tiles,
+                        window_ms_to_samples)
 from garble.features import extract_features, feature_distance
 from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
@@ -139,6 +141,14 @@ def test_apply_fir_matches_direct_convolution(n, taps, seed):
     assert len(got) == len(want) == n
     bound = 1e-12 * np.sum(np.abs(taps)) * np.max(np.abs(x.samples))
     assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30000))
+@example(n=24000 + 1601 - 1)  # 1.5 s at 16 kHz through the harsh band's 1601 taps
+def test_fast_len_is_scipy_next_fast_len(n):
+    # scipy is a test-only dependency; here it is the oracle for the FFT size
+    assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True)
 
 
 def test_harsh_simulate_wav_bytes_match_direct_convolution(monkeypatch):
