@@ -2,7 +2,7 @@
 
 Readable input: RIFF/WAVE, PCM 16-bit or IEEE float 32-bit, mono or stereo.
 Written output is always 16-bit PCM mono. All samples live in [-1.0, 1.0]
-as float64 once loaded.
+as float64 once loaded; one scale, 32768, maps PCM-16 codes both ways.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import numpy as np
 
 CANONICAL_RATE = 16000  # the attack pipeline operates on 16 kHz mono
 
-_PCM_FULL_SCALE = 32768.0   # read scale: int16 / 32768 -> [-1.0, 1.0)
-_PCM_WRITE_SCALE = 32767.0  # write scale: round(x * 32767), clipped symmetric
+_PCM_FULL_SCALE = 32768.0  # int16 / 32768 -> [-1.0, 1.0), both ways
 
 
 class WavFormatError(ValueError):
@@ -70,7 +69,8 @@ def _iter_chunks(data: bytes):
 def read_wav(data: bytes) -> AudioBuffer:
     """Decode WAV bytes to a mono AudioBuffer.
 
-    16-bit samples map to floats by division by 32768; float32 samples are
+    16-bit codes map to floats by division by 32768, write_wav's scale, so
+    a PCM-16 mono payload re-encodes byte for byte; float32 samples are
     taken as-is. Stereo is downmixed by averaging the channels. Anything
     other than PCM-16/float32 in 1-2 channels raises UnsupportedCodecError;
     structural damage raises WavFormatError.
@@ -120,14 +120,14 @@ def read_wav(data: bytes) -> AudioBuffer:
 def write_wav(audio: AudioBuffer) -> bytes:
     """Encode to 16-bit PCM mono WAV bytes.
 
-    Quantization is round(x * 32767) clipped to [-32767, 32767]; the output
-    is a pure function of (samples, rate), so equal buffers give identical
-    bytes.
+    Quantization is round(x * 32768) clipped to [-32768, 32767]: half a step
+    at most, except just below +1.0, which clips to 32767. The output is a
+    pure function of (samples, rate), so equal buffers give identical bytes.
     """
     if audio.sample_rate > 0x7FFFFFFF:  # the header's byte rate, 2 * rate, is 32-bit
         raise ValueError(f"sample rate {audio.sample_rate} does not fit a WAV header")
-    q = np.round(audio.samples * _PCM_WRITE_SCALE)
-    q = np.clip(q, -32767, 32767).astype("<i2")
+    q = np.round(audio.samples * _PCM_FULL_SCALE)
+    q = np.clip(q, -32768, 32767).astype("<i2")
     payload = q.tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",

@@ -63,7 +63,8 @@ def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray |
     dsp.design_lowpass, built once per (band_low, band_high, sample_rate).
 
     Built as lowpass(high) - lowpass(low) on a shared odd length (high None
-    means Nyquist); a band of (0, Nyquist) needs no filter at all.
+    means Nyquist, where the low-pass is a unit impulse to rounding); a band
+    of (0, Nyquist) needs no filter at all.
     """
     nyquist = sample_rate / 2.0
     high = high if high is not None else nyquist
@@ -74,11 +75,7 @@ def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray |
 
     # lowpass_length never grows with the cutoff, so the lower edge sets it
     numtaps = lowpass_length(low if low > 0.0 else high, sample_rate)
-    if high < nyquist:
-        taps = design_lowpass(high, sample_rate, numtaps)
-    else:
-        taps = np.zeros(numtaps)
-        taps[(numtaps - 1) // 2] = 1.0  # unit impulse: pass everything
+    taps = design_lowpass(high, sample_rate, numtaps)
     if low > 0.0:
         taps = taps - design_lowpass(low, sample_rate, numtaps)
     taps.flags.writeable = False

@@ -115,33 +115,34 @@ def _fast_len(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _taps_spectrum(taps_bytes: bytes, dtype: str, size: int) -> np.ndarray:
-    """Read-only rfft of the taps (given as raw bytes) zero padded to size."""
-    spec = np.fft.rfft(np.frombuffer(taps_bytes, dtype), size)
+def _taps_spectrum(taps_bytes: bytes, size: int) -> np.ndarray:
+    """Read-only rfft of the float64 taps (given as raw bytes) at size:
+    zero padded, or cropped when size is shorter."""
+    spec = np.fft.rfft(np.frombuffer(taps_bytes), size)
     spec.flags.writeable = False
     return spec
 
 
 def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
-    """Convolve by FFT (np.fft, zero padded to the 5-smooth size _fast_len
-    of the full convolution) and compensate the (numtaps-1)/2 group delay;
+    """Convolve by FFT and compensate the group delay, (numtaps-1)/2 = delay;
     length preserved. Matches direct convolution to rounding, not bit for
     bit.
 
-    The taps' spectrum is built once per (taps bytes, dtype, FFT size) and
-    reused from a small cache, so repeated calls with the same taps on
-    same-length audio transform only the audio."""
-    taps = np.asarray(taps)
+    The FFT (np.fft) is zero padded to the 5-smooth size _fast_len(n +
+    delay): the circular wrap-around then lands only in the first delay
+    samples, which are cut, and the taps that a shorter FFT crops reach no
+    kept sample. The taps' spectrum is built once per (taps bytes, FFT
+    size) and reused from a small cache, so repeated calls with the same
+    taps on same-length audio transform only the audio."""
+    taps = np.asarray(taps, dtype=np.float64)
     if taps.ndim != 1 or len(taps) % 2 == 0:
         raise ValueError("only 1-D odd-length (linear-phase, integer-delay) taps")
-    numtaps = len(taps)
     n = len(audio.samples)
     if n == 0:
         return audio
-    size = _fast_len(n + numtaps - 1)
-    spec = _taps_spectrum(taps.tobytes(), taps.dtype.str, size)
-    product = np.fft.rfft(audio.samples, size) * spec
+    delay = (len(taps) - 1) // 2
+    size = _fast_len(n + delay)
+    product = np.fft.rfft(audio.samples, size) * _taps_spectrum(taps.tobytes(), size)
     full = np.fft.irfft(product, size)
-    delay = (numtaps - 1) // 2
     return AudioBuffer(full[delay:delay + n], audio.sample_rate)
 

@@ -8,8 +8,9 @@ Four primitives:
   magnitude but gets a fresh uniform-random phase.
 * hfa - high-frequency addition: pure sine tones (normally above 8 kHz) are
   mixed on top of the signal.
-* ts  - time scaling: playback is compressed by keeping sample k*s and
-  dropping the rest, leaving the sample rate untouched.
+* ts  - time scaling: playback is compressed by keeping sample k*s (rounded,
+  and clamped to the last) and dropping the rest, leaving the sample rate
+  untouched.
 
 Window sizes are given in milliseconds and convert to whole samples via
 dsp.window_ms_to_samples.
@@ -88,25 +89,21 @@ def hfa(audio: AudioBuffer,
 
 
 def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
-    """Speed up by factor/100 by decimation: output[k] = input[round(k*s)].
+    """Speed up by s = factor/100 by decimation:
+    output[k] = input[min(round(k*s), n - 1)] for n input samples.
 
     The sample rate field is left alone, so the audio simply plays faster
     and shorter. Factor 100 is the exact identity; factors below 100 are
     rejected (this primitive only ever drops samples), as are inf and NaN.
-
-    With n input samples and s = factor/100 the output has
-    floor((n - 0.5) / s) + 1 samples (none for empty input), or one fewer
-    when (n - 0.5) / s is a whole number and round-half-to-even sends the
-    last index to n, past the end.
+    The output has floor((n - 0.5) / s) + 1 samples (none for empty input).
     """
     if not 100.0 <= factor_percent < math.inf:
         raise ValueError("ts factor must be finite and >= 100 percent")
     s = factor_percent / 100.0
-    x = audio.samples
-    count = int(math.floor((len(x) - 0.5) / s)) + 1 if len(x) else 0
-    idx = np.round(np.arange(count) * s).astype(np.int64)
-    idx = idx[idx < len(x)]  # guard the float boundary
-    return AudioBuffer(x[idx], audio.sample_rate)
+    n = len(audio.samples)
+    count = math.floor((n - 0.5) / s) + 1 if n else 0
+    idx = np.minimum(np.round(np.arange(count) * s), n - 1).astype(np.int64)
+    return AudioBuffer(audio.samples[idx], audio.sample_rate)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ enforces its own wall-clock budget. Numerical checks compare against the
 independent oracles in oracles.py, never against the implementation itself.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from functools import lru_cache
@@ -124,7 +125,7 @@ def test_ac04_ts_length_law():
         buf = AudioBuffer(rng.uniform(-1.0, 1.0, n), 16000)
         for factor in [100.0, 150.0, 200.0, 300.0]:
             out = ts(buf, factor)
-            assert abs(len(out) - int(np.ceil(n * 100.0 / factor))) <= 1
+            assert len(out) == math.floor((n - 0.5) / (factor / 100.0)) + 1
         assert np.array_equal(ts(buf, 100.0).samples, buf.samples)
 
 

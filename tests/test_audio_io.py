@@ -118,14 +118,15 @@ def test_read_rejects_unsupported_codecs():
 
 
 def test_write_full_scale_codewords():
+    # one scale, 32768, both ways: -1.0 is the lowest code and +1.0 clips
     raw = write_wav(AudioBuffer(np.array([1.0, -1.0, 0.0]), 16000))
     words = struct.unpack("<3h", raw[44:])
-    assert words == (32767, -32767, 0)
+    assert words == (32767, -32768, 0)
 
 
 def test_write_clips_out_of_range():
     raw = write_wav(AudioBuffer(np.array([2.0, -3.0]), 16000))
-    assert struct.unpack("<2h", raw[44:]) == (32767, -32767)
+    assert struct.unpack("<2h", raw[44:]) == (32767, -32768)
 
 
 def test_write_header_fields():
@@ -143,22 +144,20 @@ def test_write_rejects_rate_too_large_for_header():
 
 
 def test_roundtrip_error_bound():
-    # Worst case is u = 0.5 ulp of the decoder grid stretched by the
-    # 32767/32768 encode/decode mismatch: |x - round(32767 x)/32768| is
-    # maximized near full scale at 1.5/32768. The spec's nominal 1/32767
-    # bound is not attainable; see the ledger.
-    buf = random_buffer(7, 4096, amp=1.0)
-    back = read_wav(write_wav(buf))
-    err = np.max(np.abs(back.samples - buf.samples))
-    assert err <= 1.5 / 32768 + 1e-12
-    assert err > 1.0 / 32767  # documents why the looser bound is the real one
+    # encode and decode share the scale 32768, so a round trip moves a
+    # sample by half a step at most; the one exception is +1.0, which
+    # clips to the highest code, 32767, one step below it
+    x = np.concatenate([random_buffer(7, 4096, amp=1.0).samples, [-1.0, 1.0]])
+    err = np.abs(read_wav(write_wav(AudioBuffer(x, 16000))).samples - x)
+    assert np.max(err[:-1]) <= 0.5 / 32768 + 1e-12
+    assert err[-1] == 1.0 / 32768
 
 
 def test_write_read_write_is_byte_stable():
-    # At or below half scale the encode->decode->encode loop is the identity
-    # on codewords, so the second file must equal the first byte for byte.
-    buf = random_buffer(11, 2048, amp=0.5)
-    first = write_wav(buf)
+    # The encode->decode->encode loop is the identity on codewords up to
+    # full scale, so the second file must equal the first byte for byte.
+    x = np.concatenate([random_buffer(11, 2048, amp=1.0).samples, [-1.0, 1.0]])
+    first = write_wav(AudioBuffer(x, 16000))
     second = write_wav(read_wav(first))
     assert first == second
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,17 +188,21 @@ def test_ts_selection_law():
     for factor in [125.0, 150.0, 175.0, 300.0]:
         s = factor / 100.0
         out = ts(buf, factor)
-        idx = np.round(np.arange(len(out)) * s).astype(int)
-        assert idx[-1] < 1000
+        idx = np.minimum(np.round(np.arange(len(out)) * s), 999).astype(int)
         assert np.array_equal(out.samples, buf.samples[idx])
 
 
 def test_ts_length_law(rng):
+    # the last k*s is n - 0.5 here and rounds half-to-even up to n; its
+    # index clamps to n - 1 instead of dropping the sample
+    x = np.arange(8.0)
+    assert ts(AudioBuffer(x[:2], SR), 150.0).samples.tolist() == [0.0, 1.0]
+    assert ts(AudioBuffer(x, SR), 250.0).samples.tolist() == [0.0, 2.0, 5.0, 7.0]
     for _ in range(40):
         n = int(rng.integers(1, 20000))
         factor = float(rng.choice([100.0, 150.0, 200.0, 250.0, 300.0]))
         out = ts(AudioBuffer(rng.uniform(-1, 1, n), SR), factor)
-        assert abs(len(out) - int(np.ceil(n * 100.0 / factor))) <= 1
+        assert len(out) == math.floor((n - 0.5) / (factor / 100.0)) + 1
 
 
 def test_ts_rejects_slowdown():

@@ -107,18 +107,19 @@ def test_rpg_preserves_every_window_magnitude(n, window_ms, seed):
 @bounded
 @given(n=lengths, factor=st.floats(min_value=100.0, max_value=1000.0)
        | st.sampled_from([100.0, 150.0, 250.0, 300.0]), seed=seeds)
+@example(n=2, factor=150.0, seed=0)  # the last k*s is n - 0.5 and rounds up to n
+@example(n=8, factor=250.0, seed=0)
 def test_ts_length_and_selection_law(n, factor, seed):
     x = signal(n, seed)
     out = ts(AudioBuffer(x, SR), factor).samples
     s = factor / 100.0
-    assert out.tobytes() == x[np.round(np.arange(len(out)) * s).astype(np.int64)].tobytes()
     if n == 0:
         assert len(out) == 0
         return
-    # floor((n - 0.5) / s) + 1 samples; the last is dropped only when its
-    # index k*s sits on n - 0.5 and rounds half-to-even up to n
-    law = math.floor((n - 0.5) / s) + 1
-    assert len(out) == law or (len(out) == law - 1 and round((law - 1) * s) == n)
+    assert len(out) == math.floor((n - 0.5) / s) + 1
+    # sample round(k*s), clamped to the last when k*s rounds up to n
+    idx = [min(round(k * s), n - 1) for k in range(len(out))]
+    assert out.tobytes() == x[idx].tobytes()
     assert round(len(out) * s) >= n  # no further sample fits
 
 
@@ -133,6 +134,13 @@ odd_taps = st.just(HARSH_TAPS) | st.builds(
 
 @bounded
 @given(n=st.integers(1, 3000), taps=odd_taps, seed=seeds)
+# the FFT size is _fast_len(n + 800) for the harsh taps: exactly n + 800 =
+# 25000 at n = 24200, and shorter than the 1601 taps, which rfft crops,
+# below n = 801
+@example(n=24200, taps=HARSH_TAPS, seed=0)
+@example(n=1, taps=HARSH_TAPS, seed=1)
+@example(n=5, taps=HARSH_TAPS, seed=5)
+@example(n=799, taps=HARSH_TAPS, seed=799)
 def test_apply_fir_matches_direct_convolution(n, taps, seed):
     # FFT convolution cannot be bit-exact; its rounding error scales with
     # the largest possible output, sum|taps| * max|x|
@@ -224,9 +232,21 @@ def test_wav_roundtrip_keeps_rate_length_and_level(n, seed, rate):
     x = signal(n, seed)
     back = read_wav(write_wav(AudioBuffer(x, rate)))
     assert back.sample_rate == rate and len(back) == n
-    # one 16-bit step up to half scale; the 32767 write and 32768 read
-    # scales stretch it to 1.5 steps at full scale (test_roundtrip_error_bound)
-    assert np.all(np.abs(back.samples - x) <= (0.5 + np.abs(x)) / 32768.0 + 1e-12)
+    # half a 16-bit step from x clipped to the highest code, 32767 / 32768
+    assert np.all(np.abs(back.samples - np.minimum(x, 32767 / 32768)) <= 0.5 / 32768 + 1e-12)
+
+
+@bounded
+@given(codes=st.lists(st.integers(-32768, 32767), max_size=400),
+       rate=st.integers(1, 2**31 - 1))
+@example(codes=[-32768, 32767, 0, -1, 1, 16384, -16384], rate=SR)
+def test_pcm16_payload_reencodes_byte_for_byte(codes, rate):
+    payload = struct.pack(f"<{len(codes)}h", *codes)
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    data = (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVEfmt "
+            + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(payload))
+            + payload)
+    assert write_wav(read_wav(data)) == data
 
 
 manifest_floats = st.floats(allow_nan=False)
