@@ -23,7 +23,7 @@ import numpy as np
 from .audio_io import AudioBuffer, write_wav
 from .dsp import window_ms_to_samples
 from .features import FeatureConfig, FeatureMatrix, extract_features, feature_distance
-from .perturb import PerturbationParams, apply_params, rpg
+from .perturb import PerturbationParams, apply_params
 
 DEFAULT_QUERY_BUDGET = 10
 
@@ -94,9 +94,14 @@ class TranscriberBackend:
         raise NotImplementedError
 
 
+def _has_features(audio: AudioBuffer) -> bool:
+    """Whether audio holds one default-config analysis frame, as extract_features needs."""
+    return len(audio) >= window_ms_to_samples(FeatureConfig.frame_ms, audio.sample_rate)
+
+
 class MockOracle(TranscriberBackend):
     """Accepts audio whose feature distance to a reference stays under a
-    threshold; stands in for a real model during tests and calibration.
+    threshold; stands in for a real model in tests and rehearsals.
 
     Audio shorter than one analysis frame has no features: it is rejected
     with an empty transcript and the query is spent, as a real recognizer
@@ -118,39 +123,11 @@ class MockOracle(TranscriberBackend):
         return feature_distance(extract_features(audio), self._reference_features)
 
     def _evaluate(self, audio: AudioBuffer) -> tuple[bool, str]:
-        if len(audio) < window_ms_to_samples(FeatureConfig.frame_ms, audio.sample_rate):
+        if not _has_features(audio):
             return False, ""
         if self.distance_to_reference(audio) <= self.threshold:
             return True, self.reference_transcript
         return False, ""
-
-
-def calibrate_mock_threshold(references: list[AudioBuffer]) -> float:
-    """Midpoint between the worst feature-preserving case and the best noise,
-    in the default MFCC config's feature distance (as MockOracle measures).
-
-    Upper anchor: max distance from each reference to five phase-randomized
-    (window = analysis frame) variants. Lower anchor: min distance to five
-    RMS-matched white noises. All draws come from one generator seeded
-    with 0. Raises when the two sides do not separate.
-    """
-    rng = np.random.default_rng(0)
-    preserved = []
-    noisy = []
-    for ref in references:
-        ref_feats = extract_features(ref)
-        rms = float(np.sqrt(np.mean(ref.samples ** 2))) or 1.0
-        for _trial in range(5):
-            shuffled = rpg(ref, FeatureConfig.frame_ms, seed=int(rng.integers(2 ** 31)))
-            preserved.append(feature_distance(extract_features(shuffled), ref_feats))
-            noise = AudioBuffer(
-                np.clip(rng.normal(0.0, rms, len(ref.samples)), -1.0, 1.0),
-                ref.sample_rate)
-            noisy.append(feature_distance(extract_features(noise), ref_feats))
-    hi, lo = max(preserved), min(noisy)
-    if hi >= lo:
-        raise ValueError("fixtures do not separate preserved audio from noise")
-    return (hi + lo) / 2.0
 
 
 def distortion_key(params: PerturbationParams) -> tuple[float, float, float]:
@@ -218,8 +195,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     distortion rank. Same return contract as generic_attack.
 
     A word's variants are rendered worst-sounding first and only until k
-    of them pass the check. feature_threshold must be >= 0; the default
-    +inf keeps every variant.
+    of them pass the check, which a variant under one analysis frame fails.
+    feature_threshold must be >= 0; the default +inf keeps every variant.
     """
     if not words:
         raise ValueError("words must be nonempty")
@@ -238,8 +215,9 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
         variants = _ranked_candidates(word, schedule)
         if math.isfinite(feature_threshold):
             ref = extract_features(word)
-            variants = (c for c in variants if feature_distance(
-                extract_features(c.audio), ref) <= feature_threshold)
+            variants = (c for c in variants if _has_features(c.audio)
+                        and feature_distance(extract_features(c.audio), ref)
+                        <= feature_threshold)
         kept = list(itertools.islice(variants, per_word_variants))
         if not kept:
             raise ValueError("a word has no variants under the feature threshold")

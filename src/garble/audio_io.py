@@ -139,21 +139,15 @@ def write_wav(audio: AudioBuffer) -> bytes:
     return header + payload
 
 
-def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Linear-interpolation resample; identity when rates already match."""
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if target_rate == audio.sample_rate:
-        return audio
-    n_out = int(round(len(audio.samples) * target_rate / audio.sample_rate))
-    if n_out == 0 or len(audio.samples) == 0:
-        return AudioBuffer(np.zeros(0), target_rate)
-    # output sample k sits at source position k * src/target, clamped at the edge
-    positions = np.arange(n_out) * (audio.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(len(audio.samples)), audio.samples)
-    return AudioBuffer(out, target_rate)
-
-
 def canonicalize(audio: AudioBuffer) -> AudioBuffer:
-    """Bring a decoded buffer to the canonical pipeline rate (16 kHz mono)."""
-    return resample(audio, CANONICAL_RATE)
+    """Linear-interpolation resample to the one pipeline rate, 16 kHz: n samples
+    at rate give round(n * 16000 / rate), sample k read at source position
+    k * rate / 16000, clamped to the last. 16 kHz input is returned as is."""
+    if audio.sample_rate == CANONICAL_RATE:
+        return audio
+    n_out = int(round(len(audio.samples) * CANONICAL_RATE / audio.sample_rate))
+    if n_out == 0:  # empty input included
+        return AudioBuffer(np.zeros(0), CANONICAL_RATE)
+    positions = np.arange(n_out) * (audio.sample_rate / CANONICAL_RATE)
+    out = np.interp(positions, np.arange(len(audio.samples)), audio.samples)
+    return AudioBuffer(out, CANONICAL_RATE)

@@ -77,19 +77,16 @@ def lowpass_length(cutoff_hz: float, sample_rate: int) -> int:
     return numtaps + 1 if numtaps % 2 == 0 else numtaps
 
 
-def design_lowpass(cutoff_hz: float, sample_rate: int,
-                   numtaps: int | None = None) -> np.ndarray:
-    """Hamming windowed-sinc low-pass taps, odd length, unit DC gain.
+def design_lowpass(cutoff_hz: float, sample_rate: int, numtaps: int) -> np.ndarray:
+    """Hamming windowed-sinc low-pass taps, numtaps long (odd), unit DC gain.
 
-    The default order is lowpass_length(cutoff_hz, sample_rate). Cutoff at
-    Nyquist degenerates to a unit impulse, which apply_fir passes through
-    to rounding (~1e-16).
+    lowpass_length gives the tap count for one edge. Cutoff at Nyquist
+    degenerates to a unit impulse, which apply_fir passes through to
+    rounding (~1e-16).
     """
     nyquist = sample_rate / 2.0
     if not 0.0 < cutoff_hz <= nyquist:
         raise ValueError(f"cutoff must be in (0, {nyquist}] Hz")
-    if numtaps is None:
-        numtaps = lowpass_length(cutoff_hz, sample_rate)
     if numtaps < 1 or numtaps % 2 == 0:
         raise ValueError("numtaps must be odd and positive")
     fc = cutoff_hz / sample_rate  # normalized, 0.5 == Nyquist

@@ -41,16 +41,17 @@ def frame_energies(x: np.ndarray, frame_len: int) -> np.ndarray:
     return np.concatenate([np.mean(b ** 2, axis=1) for b in tiles(x, frame_len)])
 
 
-def detect_speech(audio: AudioBuffer, frame_ms: float = FRAME_MS) -> list[SpeechRegion]:
+def detect_speech(audio: AudioBuffer) -> list[SpeechRegion]:
     """Detected speech spans in seconds, earliest first.
 
+    Frames are FRAME_MS long at the buffer's rate, a shorter tail included.
     A frame is active when its mean-square energy exceeds the noise floor by
     MARGIN_DB, where the floor is min(10th percentile of frame energies,
     peak frame energy reduced by FLOOR_CAP_DB). Active runs are extended by
     HANGOVER_FRAMES, merged, and dropped when shorter than MIN_REGION_MS.
     """
     x = audio.samples
-    frame_len = window_ms_to_samples(frame_ms, audio.sample_rate)
+    frame_len = window_ms_to_samples(FRAME_MS, audio.sample_rate)
     if len(x) == 0:
         return []
     energies = frame_energies(x, frame_len)

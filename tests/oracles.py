@@ -26,7 +26,7 @@ import numpy as np
 from garble.attack import AttackCandidate, ExhaustionReport, distortion_key
 from garble import vad
 from garble.audio_io import AudioBuffer
-from garble.dsp import apply_fir, design_lowpass, window_ms_to_samples
+from garble.dsp import apply_fir, design_lowpass, lowpass_length, window_ms_to_samples
 from garble.features import extract_features, feature_distance
 from garble.perturb import apply_params
 
@@ -199,8 +199,10 @@ def measure_snr(reference, test):
 
 def low_pass(audio, cutoff_hz):
     """The package's zero-phase-aligned FIR low-pass at cutoff_hz:
-    apply_fir with design_lowpass taps at the buffer's rate."""
-    return apply_fir(audio, design_lowpass(cutoff_hz, audio.sample_rate))
+    apply_fir with design_lowpass taps of lowpass_length at the buffer's rate."""
+    rate = audio.sample_rate
+    taps = design_lowpass(cutoff_hz, rate, lowpass_length(cutoff_hz, rate))
+    return apply_fir(audio, taps)
 
 
 def rpg_loop(x, w, seed):
@@ -233,11 +235,11 @@ def vad_energies_loop(x, frame_len):
     return energies
 
 
-def detect_speech_loop(audio, frame_ms=vad.FRAME_MS):
+def detect_speech_loop(audio):
     """vad.detect_speech with its active runs found by a per-frame loop;
     energies, floor, margin and hangover are the package's own."""
     x = audio.samples
-    frame_len = window_ms_to_samples(frame_ms, audio.sample_rate)
+    frame_len = window_ms_to_samples(vad.FRAME_MS, audio.sample_rate)
     if len(x) == 0:
         return []
     energies = vad.frame_energies(x, frame_len)

@@ -16,7 +16,6 @@ from garble.attack import (
     RemoteConfig,
     RemoteTranscriber,
     TranscriberVerdict,
-    calibrate_mock_threshold,
     distortion_key,
     generic_attack,
     improved_attack,
@@ -61,25 +60,18 @@ def test_mock_oracle_thresholds():
 
 
 def test_mock_oracle_rejects_white_noise_at_calibrated_threshold():
-    refs = [band_noise(s, duration_s=0.5) for s in (63, 64)]
-    threshold = calibrate_mock_threshold(refs)
-    backend = MockOracle(refs[0], "ok", threshold)
+    ref = band_noise(63, duration_s=0.5)
+    probe = MockOracle(ref, "ok", threshold=np.inf)
     noise = AudioBuffer(np.random.default_rng(0).normal(0.0, 0.1, 8000), 16000)
+    # a feature-preserving scramble: rpg at the analysis frame length
+    scrambled = apply_params(ref, PerturbationParams(rpg_window_ms=20.0))
+    near = probe.distance_to_reference(scrambled)
+    far = probe.distance_to_reference(noise)
+    assert near < far
+    # calibrated here: the midpoint between the scramble and the noise
+    backend = MockOracle(ref, "ok", threshold=(near + far) / 2.0)
     assert not backend.transcribe(noise).accepted
-    # feature-preserving scramble sits under the same threshold
-    scrambled = apply_params(refs[0], PerturbationParams(rpg_window_ms=20.0))
     assert backend.transcribe(scrambled).accepted
-
-
-def test_calibration_requires_separation():
-    # heterogeneous references cannot share one threshold: the click track's
-    # phase-scrambled variants drift further than white noise sits from the
-    # noise-like reference, so the two anchors overlap
-    clicks = np.zeros(8000)
-    clicks[::800] = 0.8
-    white = AudioBuffer(np.random.default_rng(1).normal(0.0, 0.3, 8000), 16000)
-    with pytest.raises(ValueError):
-        calibrate_mock_threshold([AudioBuffer(clicks, 16000), white])
 
 
 # --- distortion ordering --------------------------------------------------------
@@ -261,6 +253,21 @@ def test_improved_attack_local_filter_prunes_variants():
     with pytest.raises(ValueError):
         improved_attack([word], 5, MockOracle(word, "x", 0.0), schedule,
                         feature_threshold=0.0)
+
+
+def test_improved_attack_filter_drops_variant_without_features():
+    # tdi 1 ms + ts 1000 % leaves 15 ms of a 150 ms word, under one 20 ms
+    # analysis frame: the filter drops it instead of raising mid-search
+    words = [band_noise(78, duration_s=0.15), band_noise(79, duration_s=0.15)]
+    short = PerturbationParams(tdi_window_ms=1.0, ts_factor_percent=1000.0)
+    clean = PerturbationParams(tdi_window_ms=2.0)
+    backend = MockOracle(words[0], "go", threshold=np.inf)
+    result = improved_attack(words, 1, backend, [short, clean], feature_threshold=1e9)
+    assert isinstance(result, AttackCandidate) and result.verdict.accepted
+    assert backend.queries_used == 1
+    assert result.params == (clean, clean)
+    want = np.concatenate([apply_params(w, clean).samples for w in words])
+    assert result.audio.samples.tobytes() == want.tobytes()
 
 
 def test_improved_attack_validates_inputs():

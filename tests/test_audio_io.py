@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from garble.audio_io import (
     CANONICAL_RATE,
@@ -11,7 +13,6 @@ from garble.audio_io import (
     WavFormatError,
     canonicalize,
     read_wav,
-    resample,
     write_wav,
 )
 from oracles import sine_fit_amplitude
@@ -175,26 +176,44 @@ def test_buffer_validation():
     assert len(buf) == 8000 and buf.duration == 0.5
 
 
-# --- resampling -------------------------------------------------------------
+# --- canonicalization -------------------------------------------------------
 
 
-def test_resample_length_law():
-    buf = AudioBuffer(np.zeros(4800), 48000)
-    assert len(resample(buf, 16000)) == 1600
-    assert len(resample(AudioBuffer(np.zeros(1001), 44100), 16000)) == round(
-        1001 * 16000 / 44100
-    )
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 4000), rate=st.integers(8000, 192000), seed=st.integers(0, 2**32 - 1))
+@example(n=4800, rate=48000, seed=0)
+@example(n=1001, rate=44100, seed=0)
+@example(n=500, rate=CANONICAL_RATE, seed=3)
+def test_resample_length_law(n, rate, seed):
+    buf = random_buffer(seed, n, sr=rate)
+    out = canonicalize(buf)
+    assert out.sample_rate == CANONICAL_RATE
+    assert len(out) == round(n * CANONICAL_RATE / rate)
 
 
 def test_resample_identity_same_rate():
     buf = random_buffer(3, 500)
-    out = resample(buf, buf.sample_rate)
+    assert buf.sample_rate == CANONICAL_RATE
+    out = canonicalize(buf)
     assert out is buf
 
 
-def test_resample_preserves_tone_amplitude():
+def test_canonicalize_upsamples_8k_by_midpoints():
+    # PCM-16 codes are multiples of 2**-15, so every midpoint is exact
+    codes = np.random.default_rng(7).integers(-32768, 32768, 801).astype("<i2")
+    src = read_wav(make_wav(1, 1, 8000, 16, codes.tobytes()))
+    out = canonicalize(src).samples
+    assert len(out) == 2 * len(src)
+    assert out[0::2].tobytes() == src.samples.tobytes()
+    # sample 2k + 1 sits halfway between k and k + 1; the last one clamps
+    mid = (src.samples[:-1] + src.samples[1:]) / 2.0
+    assert out[1:-1:2].tobytes() == mid.tobytes()
+    assert out[-1] == src.samples[-1]
+
+
+def test_canonicalize_preserves_tone_amplitude():
     buf = sine_buffer(1000.0, duration_s=0.5, sr=48000, amp=0.5)
-    out = resample(buf, 16000)
+    out = canonicalize(buf)
     assert out.sample_rate == 16000
     amp = sine_fit_amplitude(out.samples, 16000, 1000.0)
     assert abs(20 * np.log10(amp / 0.5)) < 0.2

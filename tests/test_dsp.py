@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
-from garble.dsp import apply_fir, design_lowpass, frames, next_pow2
+from garble.dsp import apply_fir, design_lowpass, frames, lowpass_length, next_pow2
 from oracles import low_pass, measure_snr, sine_fit_amplitude
 from synth import SR, random_buffer, sine_buffer
 
@@ -66,19 +66,20 @@ def test_lowpass_preserves_length_and_alignment():
     n = 4000
     x = np.zeros(n)
     x[n // 2] = 1.0
-    out = apply_fir(AudioBuffer(x, SR), design_lowpass(3000.0, SR))
+    taps = design_lowpass(3000.0, SR, lowpass_length(3000.0, SR))
+    out = apply_fir(AudioBuffer(x, SR), taps)
     assert len(out) == n
     assert int(np.argmax(np.abs(out.samples))) == n // 2
 
 
 def test_design_lowpass_validation():
-    taps = design_lowpass(3000.0, SR)
+    taps = design_lowpass(3000.0, SR, lowpass_length(3000.0, SR))
     assert len(taps) % 2 == 1
     assert abs(np.sum(taps) - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        design_lowpass(0.0, SR)
+        design_lowpass(0.0, SR, 41)
     with pytest.raises(ValueError):
-        design_lowpass(8000.1, SR)
+        design_lowpass(8000.1, SR, 41)
     with pytest.raises(ValueError):
         design_lowpass(1000.0, SR, numtaps=10)
 
