@@ -18,8 +18,10 @@ dsp.window_ms_to_samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,34 +44,49 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
 
     Each window (and the natural-length tail) is transformed at exactly its
     own length, so the per-window magnitude spectrum of the output matches
-    the input to machine precision. DC and Nyquist bins stay untouched; the
-    phase stream is drawn from a generator seeded once per call, making the
-    output a pure function of (samples, window, seed).
+    the input to machine precision. DC and Nyquist bins stay untouched. The
+    windows take consecutive phasors, in window order, from one stream that
+    is a pure function of (seed, clip length) and is built once per pair
+    (_phasor_stream), so the output is a pure function of (samples, window,
+    seed).
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     w = window_ms_to_samples(window_ms, audio.sample_rate)
-    rng = np.random.default_rng(seed)
-    blocks = tiles(audio.samples, w)  # full windows first, so they draw first
-    return AudioBuffer(np.concatenate([_randomize_phases(b, rng) for b in blocks]),
-                       audio.sample_rate)
+    phasors = _phasor_stream(seed, len(audio.samples))
+    out = []
+    for rows in tiles(audio.samples, w):  # full windows take the stream first
+        n = rows.shape[1]
+        hi = (n + 1) // 2  # first non-interior index from above (Nyquist/none)
+        used = len(rows) * (hi - 1)
+        bins = np.fft.rfft(rows, axis=1)
+        bins[:, 1:hi] = np.abs(bins[:, 1:hi]) * phasors[:used].reshape(len(rows), hi - 1)
+        phasors = phasors[used:]
+        out.append(np.fft.irfft(bins, n=n, axis=1).ravel())
+    return AudioBuffer(np.concatenate(out), audio.sample_rate)
 
 
-def _randomize_phases(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """rpg on each row at the row's own length, flattened; the phases are
-    drawn row by row from rng, as a per-window loop would draw them."""
-    n = rows.shape[1]
-    bins = np.fft.rfft(rows, axis=1)
-    hi = (n + 1) // 2  # first non-interior index from above (Nyquist/none)
-    if hi > 1:
-        theta = rng.uniform(0.0, 2.0 * np.pi, (len(rows), hi - 1))
-        bins[:, 1:hi] = np.abs(bins[:, 1:hi]) * np.exp(1j * theta)
-    return np.fft.irfft(bins, n=n, axis=1).ravel()
+@functools.lru_cache(maxsize=4)
+def _phasor_stream(seed: int, n: int) -> np.ndarray:
+    """Read-only exp(1j*theta) for n // 2 uniform phases theta in [0, 2*pi)
+    from default_rng(seed).
+
+    A window of w samples has (w - 1) // 2 interior bins, so n // 2 phasors
+    cover the windows of an n-sample clip at any window length. The
+    generator fills element by element, so a prefix of this stream is
+    exactly what drawing window by window from default_rng(seed) gives.
+    """
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n // 2)
+    phasors = np.exp(1j * theta)
+    phasors.flags.writeable = False
+    return phasors
 
 
 def hfa(audio: AudioBuffer,
         components: tuple[tuple[float, float], ...]) -> tuple[AudioBuffer, float]:
-    """Add amplitude * sin(2*pi*f*n/rate) per (f, amplitude) component.
+    """Add amplitude * sin(2*pi*f*n/rate) per (f, amplitude) component; the
+    unit tone of each (f, length, rate) is built once (_tone).
 
     Returns (buffer, scale). If the mix peaks past full scale the whole
     buffer is rescaled by 1/peak (scale < 1.0 reports that); samples are
@@ -77,15 +94,23 @@ def hfa(audio: AudioBuffer,
     """
     nyquist = audio.sample_rate / 2.0
     out = audio.samples.copy()
-    n = np.arange(len(out))
     for freq, amp in components:
         if not 0.0 < freq < nyquist:
             raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
         if not 0.0 <= amp < math.inf:
             raise ValueError(f"component amplitude {amp} must be finite and >= 0")
-        out += amp * np.sin(2.0 * np.pi * freq * n / audio.sample_rate)
+        out += amp * _tone(freq, len(out), audio.sample_rate)
     out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale
+
+
+# typed, so 7500.0 and np.float32(7500) get tables of their own precision
+@functools.lru_cache(maxsize=8, typed=True)
+def _tone(freq: float, n: int, rate: int) -> np.ndarray:
+    """Read-only sin(2*pi*freq*k/rate) for k = 0 .. n-1."""
+    tone = np.sin(2.0 * np.pi * freq * np.arange(n) / rate)
+    tone.flags.writeable = False
+    return tone
 
 
 def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:

@@ -1,20 +1,26 @@
 """The per-configuration tables (band-pass taps, their spectrum, channel
-noise, Hamming window, mel filterbank, DCT rows) are built once and
-cached: every cached array is read-only, a repeated call returns the same
-object, and cold and warm caches give the same bytes."""
+noise, Hamming window, mel filterbank, DCT rows, rpg's phasor stream,
+hfa's unit tones) are built once and cached: every cached array is
+read-only, a repeated call returns the same object, and cold and warm
+caches give the same bytes."""
 
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from garble import channel, dsp, features
-from garble.audio_io import write_wav
+from garble import channel, dsp, features, perturb
+from garble.audio_io import AudioBuffer, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.features import FeatureConfig, extract_features
-from synth import random_buffer
+from garble.perturb import hfa, rpg
+from oracles import rpg_loop
+from synth import SR, random_buffer
 
 CACHES = (channel._band_taps, channel._unit_noise, dsp._taps_spectrum,
-          features.mel_filterbank, features._hamming, features._dct_rows)
+          features.mel_filterbank, features._hamming, features._dct_rows,
+          perturb._phasor_stream, perturb._tone)
 LENGTHS = (1, 300, 1601, 24000)
 RATES = (16000, 22050)
 CHANNELS = (PRESETS["harsh"], replace(PRESETS["harsh"], seed=5),
@@ -62,6 +68,8 @@ def test_cached_tables_are_read_only():
     harsh = PRESETS["harsh"]
     simulate(random_buffer(1, 24000), harsh)
     extract_features(random_buffer(2, 24000))
+    rpg(random_buffer(3, 24000), 2.0, seed=4)
+    hfa(random_buffer(4, 24000), ((7500.0, 0.1),))
     taps = channel._band_taps(harsh.band_low, harsh.band_high, 16000)
     size = dsp._fast_len(24000 + (len(taps) - 1) // 2)
     tables = [
@@ -71,8 +79,10 @@ def test_cached_tables_are_read_only():
         features.mel_filterbank(26, 512, 16000),
         features._hamming(320),
         features._dct_rows(13, 26),
+        perturb._phasor_stream(4, 24000),
+        perturb._tone(7500.0, 24000, 16000),
     ]
-    for cache in CACHES:  # the two calls above built every table fetched here
+    for cache in CACHES:  # the calls above built every table fetched here
         assert cache.cache_info().hits >= 1
     for table in tables:
         assert not table.flags.writeable
@@ -86,3 +96,36 @@ def test_cold_and_warm_caches_give_the_same_bytes():
     assert any(out is None for out in cold) and any(out is not None for out in cold)
     assert outputs(cold=False) == cold
     assert outputs(cold=False) == cold  # warm, with entries evicted and rebuilt
+
+
+@pytest.mark.parametrize("cold", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2, 101, 160])
+def test_rpg_at_every_window_matches_the_window_loop(n, cold):
+    """Every window from 1 to n + 2 samples, in shuffled order, on one
+    (seed, n): windows of 1 and 2 samples draw nothing, 101 at 50 leaves a
+    one-sample tail and at 33 a two-sample tail (no interior bin), and
+    windows past n leave the whole clip as the tail."""
+    x = random_buffer(n, n).samples
+    windows = list(range(1, n + 3))
+    random.Random(n).shuffle(windows)
+    for w in windows:
+        if cold:
+            clear_caches()
+        got = rpg(AudioBuffer(x, SR), w * 1000.0 / SR, seed=3).samples
+        assert got.tobytes() == rpg_loop(x, w, 3).tobytes(), f"window {w}"
+
+
+@pytest.mark.parametrize("cold", [True, False])
+def test_hfa_on_interleaved_lengths_matches_direct_tones(cold):
+    components = ((7500.0, 0.1), (5000.0, 0.05))
+    for n in (1601, 24000, 1601, 24000):
+        if cold:
+            clear_caches()
+        x = random_buffer(n, n, amp=0.3)
+        want = x.samples.copy()
+        k = np.arange(n)
+        for freq, amp in components:
+            want += amp * np.sin(2.0 * np.pi * freq * k / SR)
+        out, scale = hfa(x, components)
+        assert scale == 1.0
+        assert out.samples.tobytes() == want.tobytes(), f"length {n}"

@@ -8,6 +8,7 @@ from garble.dsp import window_ms_to_samples
 from garble.perturb import (
     ParamGrid,
     PerturbationParams,
+    _phasor_stream,
     apply_params,
     expand_grid,
     hfa,
@@ -16,7 +17,7 @@ from garble.perturb import (
     tdi_probe_schedule,
     ts,
 )
-from oracles import direct_window_mags
+from oracles import direct_window_mags, rpg_loop
 from synth import SR, random_buffer
 
 
@@ -113,6 +114,16 @@ def test_rpg_determinism_and_seed_sensitivity():
         rpg(buf, 2.0, seed=-1)
 
 
+def test_rpg_seed_must_be_an_integer():
+    buf = random_buffer(2, 2000)
+    _phasor_stream.cache_clear()
+    for _ in range(2):  # cold, then with seed 1's table cached
+        with pytest.raises(TypeError):
+            rpg(buf, 2.0, seed=1.0)
+        got = rpg(buf, 2.0, seed=np.int64(1)).samples
+        assert got.tobytes() == rpg_loop(buf.samples, 32, 1).tobytes()
+
+
 def test_rpg_tiny_windows_are_identity():
     # one- and two-sample windows have no interior bins to scramble
     buf = random_buffer(4, 64)
@@ -137,6 +148,16 @@ def test_hfa_adds_exact_tone():
     n = np.arange(1600)
     tone = 0.25 * np.sin(2 * np.pi * 7500.0 * n / SR)
     assert np.allclose(out.samples - buf.samples, tone, atol=1e-12)
+
+
+def test_hfa_tone_follows_the_frequency_type():
+    # float32 arithmetic gives other bytes than float64 at the same value
+    buf = random_buffer(6, 1600, amp=0.3)
+    n = np.arange(1600)
+    for freq in (7500.0, np.float32(7500.0), 7500.0):
+        out, _ = hfa(buf, ((freq, 0.25),))
+        want = buf.samples + 0.25 * np.sin(2 * np.pi * freq * n / SR)
+        assert out.samples.tobytes() == want.tobytes()
 
 
 def test_hfa_rescales_instead_of_clipping():
