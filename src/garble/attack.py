@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
-from .dsp import window_ms_to_samples
-from .features import FeatureConfig, FeatureMatrix, extract_features, feature_distance
+from .features import FeatureMatrix, extract_features, feature_distance, has_frames
 from .perturb import PerturbationParams, apply_params
 
 DEFAULT_QUERY_BUDGET = 10
@@ -94,20 +93,20 @@ class TranscriberBackend:
         raise NotImplementedError
 
 
-def _has_features(audio: AudioBuffer) -> bool:
-    """Whether audio holds one default-config analysis frame, as extract_features needs."""
-    return len(audio) >= window_ms_to_samples(FeatureConfig.frame_ms, audio.sample_rate)
+def _accepts(audio: AudioBuffer, reference: FeatureMatrix, threshold: float) -> bool:
+    """MockOracle's verdict, shared with the filter of improved_attack."""
+    return has_frames(audio, reference.config) and feature_distance(
+        extract_features(audio, reference.config), reference) <= threshold
 
 
 class MockOracle(TranscriberBackend):
-    """Accepts audio whose feature distance to a reference stays under a
-    threshold; stands in for a real model in tests and rehearsals.
+    """Accepts audio whose default-config MFCC distance to a reference is at
+    most a threshold; stands in for a real model in tests and rehearsals.
 
     Audio shorter than one analysis frame has no features: it is rejected
     with an empty transcript and the query is spent, as a real recognizer
-    given a few ms of audio hears nothing. distance_to_reference still
-    raises ValueError on such audio, which has no distance. Features are
-    the default MFCC config, FeatureConfig().
+    given a few ms of audio hears nothing. distance_to_reference raises
+    ValueError on such audio, which has no distance.
     """
 
     def __init__(self, reference: AudioBuffer, reference_transcript: str,
@@ -120,12 +119,11 @@ class MockOracle(TranscriberBackend):
         self._reference_features = extract_features(reference)
 
     def distance_to_reference(self, audio: AudioBuffer) -> float:
-        return feature_distance(extract_features(audio), self._reference_features)
+        ref = self._reference_features
+        return feature_distance(extract_features(audio, ref.config), ref)
 
     def _evaluate(self, audio: AudioBuffer) -> tuple[bool, str]:
-        if not _has_features(audio):
-            return False, ""
-        if self.distance_to_reference(audio) <= self.threshold:
+        if _accepts(audio, self._reference_features, self.threshold):
             return True, self.reference_transcript
         return False, ""
 
@@ -188,14 +186,11 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
 def improved_attack(words: list[AudioBuffer], per_word_variants: int,
                     backend: TranscriberBackend, schedule: list[PerturbationParams],
                     feature_threshold: float = math.inf):
-    """Per-word variant search: each word is perturbed on the schedule, its
-    k worst-sounding variants that pass a local feature-distance check
-    (default MFCC config, distance <= feature_threshold) are kept, and the
-    k^n concatenations are queried in lexicographic order of per-word
-    distortion rank. Same return contract as generic_attack.
-
-    A word's variants are rendered worst-sounding first and only until k
-    of them pass the check, which a variant under one analysis frame fails.
+    """Per-word variant search: each word is perturbed on the schedule, and
+    its k worst-sounding variants that MockOracle(word, "", feature_threshold)
+    would accept are kept, rendered worst-sounding first and only until k
+    pass. The k^n concatenations are then queried in lexicographic order of
+    per-word distortion rank. Same return contract as generic_attack.
     feature_threshold must be >= 0; the default +inf keeps every variant.
     """
     if not words:
@@ -215,9 +210,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
         variants = _ranked_candidates(word, schedule)
         if math.isfinite(feature_threshold):
             ref = extract_features(word)
-            variants = (c for c in variants if _has_features(c.audio)
-                        and feature_distance(extract_features(c.audio), ref)
-                        <= feature_threshold)
+            variants = (c for c in variants
+                        if _accepts(c.audio, ref, feature_threshold))
         kept = list(itertools.islice(variants, per_word_variants))
         if not kept:
             raise ValueError("a word has no variants under the feature threshold")

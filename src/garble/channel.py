@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +18,17 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .dsp import apply_fir, design_lowpass, lowpass_length, renormalize
 
+# the noise-to-signal power ratio 10 ** (-snr_db / 10) is 1e308 here, the
+# largest power of ten a float holds; from about -3082.5 dB it overflows
+_MIN_SNR_DB = -10.0 * sys.float_info.max_10_exp
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """One room. Every rule that needs no sample rate is checked here, at
     construction; the band's upper edge is checked against Nyquist, and the
-    reverb delay against one sample, when simulate runs."""
+    reverb delay against one sample and the float range, when simulate
+    runs."""
 
     band_low: float = 0.0            # Hz; 0 disables the high-pass side
     band_high: float | None = None   # Hz; None -> Nyquist (no low-pass side)
@@ -36,8 +42,8 @@ class ChannelConfig:
         high = math.inf if self.band_high is None else self.band_high
         if not 0.0 <= self.band_low < high:
             raise ValueError("need 0 <= band_low < band_high")
-        if not -math.inf < self.snr_db <= math.inf:
-            raise ValueError("snr_db must be finite or +inf")
+        if not _MIN_SNR_DB <= self.snr_db <= math.inf:
+            raise ValueError(f"snr_db must be >= {_MIN_SNR_DB} or +inf, got {self.snr_db}")
         # index(): a float seed or tap count is a TypeError, not a silent cast
         if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -94,7 +100,10 @@ def _unit_noise(seed: int, n: int) -> tuple[np.ndarray, float]:
 def _add_reverb(x: np.ndarray, config: ChannelConfig, sample_rate: int) -> np.ndarray:
     if config.reverb_taps == 0:
         return x
-    delay = round(config.reverb_delay_ms * sample_rate / 1000.0)
+    samples = config.reverb_delay_ms * sample_rate / 1000.0
+    if not math.isfinite(samples):  # a finite delay in ms can still overflow
+        raise ValueError("reverb_delay_ms too large to count in samples")
+    delay = round(samples)
     if delay < 1:
         raise ValueError("reverb_delay_ms too small for one sample of delay")
     out = x.copy()
@@ -122,7 +131,8 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
 
     The config has checked its own fields; only the rules that need the
     sample rate (band_high <= Nyquist, a reverb delay of at least one
-    sample) are checked here, and raise ValueError.
+    sample and a finite count of them) are checked here, and raise
+    ValueError.
     """
     taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -17,13 +18,22 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+# the longest window whose float64 byte span numpy can stride over
+_MAX_WINDOW = sys.maxsize // np.dtype(np.float64).itemsize
+
+
 def window_ms_to_samples(window_ms: float, sample_rate: int) -> int:
     """Whole samples in a window of window_ms at sample_rate, at least one:
     max(1, round(window_ms * sample_rate / 1000)). Rejects window_ms that
-    is not positive and finite."""
+    is not positive and finite, and a window longer than _MAX_WINDOW
+    samples, which no frame view can index."""
     if not 0 < window_ms < math.inf:
         raise ValueError("window length in ms must be positive and finite")
-    return max(1, round(window_ms * sample_rate / 1000.0))
+    samples = window_ms * sample_rate / 1000.0
+    if not samples <= _MAX_WINDOW:  # inf fails too
+        raise ValueError(f"a window of {window_ms!r} ms is too long to index "
+                         f"at {sample_rate} Hz")
+    return max(1, round(samples))
 
 
 def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:

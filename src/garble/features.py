@@ -118,6 +118,11 @@ def _dct_rows(n_coeffs: int, n_filters: int) -> np.ndarray:
     return rows
 
 
+def has_frames(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> bool:
+    """Whether audio holds one full analysis frame, as spectrum requires."""
+    return len(audio) >= window_ms_to_samples(config.frame_ms, audio.sample_rate)
+
+
 def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Per-frame one-sided spectrum of the full analysis frames.
 
@@ -130,7 +135,7 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
     frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
     hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
     x = audio.samples
-    if len(x) < frame_len:
+    if not has_frames(audio, config):
         raise ValueError("audio shorter than one analysis frame")
     if config.pre_emphasis:
         x = np.concatenate([[x[0]], x[1:] - config.pre_emphasis * x[:-1]])

@@ -25,6 +25,7 @@ from garble.attack import (
     word_edit_distance,
 )
 from garble.audio_io import AudioBuffer, read_wav
+from garble.features import has_frames
 from garble.perturb import PerturbationParams, apply_params, tdi_probe_schedule
 from synth import band_noise, random_buffer
 
@@ -268,6 +269,44 @@ def test_improved_attack_filter_drops_variant_without_features():
     assert result.params == (clean, clean)
     want = np.concatenate([apply_params(w, clean).samples for w in words])
     assert result.audio.samples.tobytes() == want.tobytes()
+
+
+class Deaf(garble.attack.TranscriberBackend):
+    """Rejects every query, so a search queries all of its candidates."""
+
+    def _evaluate(self, audio):
+        return False, ""
+
+
+@pytest.mark.parametrize("seed", [80, 81, 82])
+def test_improved_attack_keeps_what_the_mock_oracle_accepts(seed):
+    # one judgement for both searches: on a seeded word and ladder, at every
+    # acceptance edge, the filter keeps exactly the variants, in rank order,
+    # that MockOracle(word, "", threshold) accepts
+    rng = np.random.default_rng(seed)
+    word = band_noise(seed, duration_s=0.15)
+    short = PerturbationParams(tdi_window_ms=1.0, ts_factor_percent=1000.0)
+    assert not has_frames(apply_params(word, short))  # 15 ms, under one frame
+    ladder = [short] + [PerturbationParams(tdi_window_ms=ms) for ms in rng.uniform(0.5, 6, 4)]
+    ladder += [PerturbationParams(rpg_window_ms=ms, rpg_seed=seed)
+               for ms in rng.uniform(0.5, 20, 3)]
+    ranked = sorted(ladder, key=distortion_key)
+    gauge = MockOracle(word, "", 0.0)
+    edges = sorted(gauge.distance_to_reference(apply_params(word, p))
+                   for p in ladder if p is not short)
+    for threshold in (0.0, *edges, 1e9):
+        oracle = MockOracle(word, "", threshold, budget=len(ladder))
+        accepted = [p for p in ranked if oracle.transcribe(apply_params(word, p)).accepted]
+        try:
+            result = improved_attack([word], len(ladder), Deaf(len(ladder)), ladder,
+                                     feature_threshold=threshold)
+        except ValueError as exc:
+            assert "no variants" in str(exc)
+            kept = []
+        else:
+            kept = [c.params[0] for c in result.candidates]
+        assert kept == accepted
+    assert accepted == [p for p in ranked if p is not short]  # 1e9 takes all but one
 
 
 def test_improved_attack_validates_inputs():

@@ -127,9 +127,10 @@ def test_negative_seed_rejected_for_every_config():
     ({"reverb_decay": math.nan}, ValueError),
     ({"reverb_decay": 1.0 + 1e-9}, ValueError),
     ({"reverb_delay_ms": math.inf}, ValueError),
+    ({"snr_db": -4000.0}, ValueError),
 ], ids=["band-low-negative", "band-inverted", "band-empty", "snr-nan", "snr-minus-inf",
         "seed-negative", "seed-float", "taps-negative", "taps-float", "decay-inf",
-        "decay-nan", "decay-above-one", "delay-inf"])
+        "decay-nan", "decay-above-one", "delay-inf", "snr-past-float-range"])
 def test_channel_config_checks_itself(fields, error):
     # rejected at construction, before any audio or sample rate is seen
     with pytest.raises(error, match=next(iter(fields)) if error is ValueError else None):
@@ -140,6 +141,22 @@ def test_reverb_delay_under_one_sample_rejected():
     config = ChannelConfig(reverb_taps=1, reverb_delay_ms=0.01)  # needs the rate
     with pytest.raises(ValueError, match="one sample"):
         simulate(random_buffer(57, 1000), config)
+
+
+def test_reverb_delay_past_the_float_range_rejected():
+    # finite in ms, but 1e306 ms at 16 kHz is an infinite count of samples
+    config = ChannelConfig(reverb_taps=2, reverb_delay_ms=1e306)
+    with pytest.raises(ValueError, match="reverb_delay_ms"):
+        simulate(random_buffer(58, 1000), config)
+
+
+def test_lowest_snr_still_simulates():
+    # at -3080 dB the noise power is 1e308 times the signal's, the largest
+    # power of ten a float holds; below it the config is rejected
+    out, scale = simulate(random_buffer(59, 1000), ChannelConfig(snr_db=-3080.0))
+    assert np.all(np.isfinite(out.samples)) and scale < 1.0
+    with pytest.raises(ValueError, match="snr_db"):
+        ChannelConfig(snr_db=-3080.5)
 
 
 def test_parse_channel_config_roundtrip():

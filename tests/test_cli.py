@@ -389,6 +389,37 @@ def test_non_finite_parameters_exit_2(tmp_path, wav_on_disk, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["perturb", "{src}", "{out}", "--tdi-ms", "1e300"], "too long to index"),
+    (["perturb", "{src}", "{out}", "--rpg-ms", "1e300"], "too long to index"),
+    (["perturb", "{src}", "{out}", "--tdi-ms", "6e17"], "too long to index"),
+    (["compare", "{src}", "{src}", "--window-ms", "1e306"], "too long to index"),
+    (["features", "{src}", "--frame-ms", "1e306"], "too long to index"),
+    (["features", "{src}", "--hop-ms", "1e306"], "too long to index"),
+    (["features", "{src}", "--hop-ms", "1e17"], "too long to index"),
+    (["spectrogram", "{src}", "{out}", "--frame-ms", "1e306"], "too long to index"),
+    (["attack", "{src}", "--target-phrase", "x", "--backend", "mock:{src}:1e9",
+      "--start-ms", "1e306"], "too long to index"),
+    (["simulate", "{src}", "{out}", "--channel", "{delay}"], "reverb_delay_ms"),
+    (["simulate", "{src}", "{out}", "--channel", "{snr}"], "snr_db"),
+], ids=["perturb-tdi", "perturb-rpg", "perturb-tdi-past-maxsize", "compare", "features",
+        "features-hop", "features-hop-stride", "spectrogram", "attack-start",
+        "simulate-reverb-delay", "simulate-snr"])
+def test_overflowing_parameters_exit_2(tmp_path, wav_on_disk, capsys, argv, named):
+    # finite values whose sample count, or noise power, leaves the range
+    # of an index or a float
+    src = wav_on_disk(band_noise(12, duration_s=0.2))
+    paths = {"src": src, "out": tmp_path / "out"}
+    channel_files = {"delay": "reverb_taps = 2\nreverb_delay_ms = 1e306\n",
+                     "snr": "snr_db = -4000\n"}
+    for name, text in channel_files.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "{src}", "{out}", "--channel", "harsh", "--seed", "-3"],
     ["simulate", "{src}", "{out}", "--channel", "{chan}"],

@@ -66,6 +66,29 @@ def test_frames_matches_definition(n, length, hop, seed):
 
 
 @bounded
+@given(window_ms=st.floats(), rate=st.integers(1, 192_000))
+@example(window_ms=math.nan, rate=16000)
+@example(window_ms=-math.inf, rate=16000)
+@example(window_ms=5e-324, rate=192_000)  # the least subnormal: one sample
+@example(window_ms=6e17, rate=16000)      # past sys.maxsize samples
+@example(window_ms=1e17, rate=16000)      # under sys.maxsize, but not its byte stride
+@example(window_ms=1e306, rate=16000)     # the count is inf
+@example(window_ms=1.7976931348623157e308, rate=1)
+def test_window_ms_to_samples_counts_or_raises_value_error(window_ms, rate):
+    # any float, NaN, infinities and subnormals included: the count of the
+    # definition, or ValueError, never another exception
+    try:
+        got = window_ms_to_samples(window_ms, rate)
+    except ValueError:
+        # a window of up to 1e12 ms (31 years) always has a count
+        assert not 0 < window_ms <= 1e12
+        return
+    assert got == max(1, round(window_ms * rate / 1000))
+    # a count it returns can stride over float64 samples
+    assert frames(np.zeros(1), got, got).shape == (0 if got > 1 else 1, got)
+
+
+@bounded
 @given(n=lengths, window_ms=windows_ms, seed=seeds)
 def test_rpg_matches_window_loop(n, window_ms, seed):
     x = signal(n, seed)
