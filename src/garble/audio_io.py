@@ -36,7 +36,7 @@ class AudioBuffer:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("AudioBuffer samples must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("AudioBuffer samples must be finite")
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise ValueError("sample_rate must be a positive integer")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,10 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .dsp import apply_fir, design_lowpass, lowpass_length, renormalize
 
-# the noise-to-signal power ratio 10 ** (-snr_db / 10) is 1e308 here, the
-# largest power of ten a float holds; from about -3082.5 dB it overflows
-_MIN_SNR_DB = -10.0 * sys.float_info.max_10_exp
+# the noise gain factor 10 ** (-snr_db / 20) is 1e154 here, so noise scaled
+# to any signal read_wav can return (up to float32 max, raised by the band
+# and any reverb) stays far inside the float range
+_MIN_SNR_DB = -3080.0
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray |
 
 @functools.lru_cache(maxsize=4)
 def _unit_noise(seed: int, n: int) -> tuple[np.ndarray, float]:
-    """Read-only standard normal noise from default_rng(seed), and its mean
-    power."""
+    """Read-only standard normal noise, n >= 1 samples from
+    default_rng(seed), and its mean power."""
     noise = np.random.default_rng(seed).standard_normal(n)
     noise.flags.writeable = False
-    return noise, float(np.mean(noise ** 2)) if n else 0.0
+    return noise, float(np.mean(noise ** 2))
 
 
 def _add_reverb(x: np.ndarray, config: ChannelConfig, sample_rate: int) -> np.ndarray:
@@ -121,8 +121,8 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     Returns (output, scale): scale < 1.0 when the result had to be
     renormalized to keep |sample| <= 1. Noise is white Gaussian from a
     generator seeded by config.seed, scaled so the clean-vs-noisy power
-    ratio equals snr_db exactly; identical (audio, config) always produce
-    identical output.
+    ratio equals snr_db exactly (a silent clip gets none); identical
+    (audio, config) always produce identical output.
 
     The band-pass taps are built once per (band_low, band_high, sample
     rate), and the unscaled noise and its power once per (seed, length);
@@ -138,12 +138,11 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
     out = _add_reverb(out, config, audio.sample_rate)
 
-    if math.isfinite(config.snr_db):
-        noise, p_noise_raw = _unit_noise(config.seed, len(out))
-        p_sig = float(np.mean(out ** 2)) if len(out) else 0.0
-        target = p_sig * 10.0 ** (-config.snr_db / 10.0)
-        if p_noise_raw > 0.0 and target > 0.0:
-            out = out + noise * math.sqrt(target / p_noise_raw)
+    if math.isfinite(config.snr_db) and len(out):
+        noise, p_noise = _unit_noise(config.seed, len(out))
+        p_sig = float(np.mean(out ** 2))
+        if p_sig > 0.0 and p_noise > 0.0:  # silence gets none; never divide by 0
+            out = out + noise * (math.sqrt(p_sig / p_noise) * 10.0 ** (-config.snr_db / 20.0))
 
     out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attack import (BackendError, ExhaustionReport, MockOracle, RemoteTranscriber,
                      generic_attack, load_remote_config, DEFAULT_QUERY_BUDGET)
-from .audio_io import AudioBuffer, WavFormatError, canonicalize, read_wav, write_wav
+from .audio_io import AudioBuffer, canonicalize, read_wav, write_wav
 from .channel import resolve_channel, simulate
 from .features import (FeatureConfig, extract_features, feature_distance,
                        max_window_magnitude_diff, spectrum)
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 1
-    except (WavFormatError, ValueError) as exc:
+    except ValueError as exc:  # WavFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -145,8 +145,6 @@ def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
     if taps.ndim != 1 or len(taps) % 2 == 0:
         raise ValueError("only 1-D odd-length (linear-phase, integer-delay) taps")
     n = len(audio.samples)
-    if n == 0:
-        return audio
     delay = (len(taps) - 1) // 2
     size = _fast_len(n + delay)
     product = np.fft.rfft(audio.samples, size) * _taps_spectrum(taps.tobytes(), size)

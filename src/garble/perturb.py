@@ -99,13 +99,12 @@ def hfa(audio: AudioBuffer,
             raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
         if not 0.0 <= amp < math.inf:
             raise ValueError(f"component amplitude {amp} must be finite and >= 0")
-        out += amp * _tone(freq, len(out), audio.sample_rate)
+        out += amp * _tone(float(freq), len(out), audio.sample_rate)
     out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale
 
 
-# typed, so 7500.0 and np.float32(7500) get tables of their own precision
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=8)
 def _tone(freq: float, n: int, rate: int) -> np.ndarray:
     """Read-only sin(2*pi*freq*k/rate) for k = 0 .. n-1."""
     tone = np.sin(2.0 * np.pi * freq * np.arange(n) / rate)
@@ -126,7 +125,7 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
         raise ValueError("ts factor must be finite and >= 100 percent")
     s = factor_percent / 100.0
     n = len(audio.samples)
-    count = math.floor((n - 0.5) / s) + 1 if n else 0
+    count = math.floor((n - 0.5) / s) + 1
     idx = np.minimum(np.round(np.arange(count) * s), n - 1).astype(np.int64)
     return AudioBuffer(audio.samples[idx], audio.sample_rate)
 

@@ -25,6 +25,7 @@ from garble.attack import (
     word_edit_distance,
 )
 from garble.audio_io import AudioBuffer, read_wav
+from garble.cli import main
 from garble.features import has_frames
 from garble.perturb import PerturbationParams, apply_params, tdi_probe_schedule
 from synth import band_noise, random_buffer
@@ -470,6 +471,31 @@ def test_remote_backend_bad_responses_cost_nothing(stub_server):
     stub_server.responses = [(200, json.dumps({"transcript": "x"}).encode())]
     assert backend.transcribe(audio).accepted
     assert backend.queries_used == 1
+
+
+@pytest.mark.parametrize("path, document", [
+    ("result.first", {"result": ["open the door"]}),
+    ("transcript.text", {"transcript": "open the door"}),
+    ("count.0", {"count": 3}),
+], ids=["word-into-a-list", "past-a-string", "past-a-number"])
+def test_remote_backend_unwalkable_transcript_path_costs_nothing(
+        stub_server, tmp_path, wav_on_disk, capsys, path, document):
+    stub_server.responses = [(200, json.dumps(document).encode())]
+    backend = RemoteTranscriber(
+        RemoteConfig(url=_url(stub_server), transcript_json_path=path), "open the door")
+    with pytest.raises(BackendError, match="unusable response"):
+        backend.transcribe(band_noise(87, duration_s=0.05))
+    assert backend.queries_used == 0
+    # the CLI reports a backend error and stops at the first response
+    stub_server.requests.clear()
+    config_path = tmp_path / "stt.json"
+    config_path.write_text(json.dumps({"url": _url(stub_server),
+                                       "transcript_json_path": path}))
+    src = wav_on_disk(band_noise(88, duration_s=0.2))
+    assert main(["attack", str(src), "--target-phrase", "open the door",
+                 "--backend", f"remote:{config_path}"]) == 1
+    assert "unusable response" in capsys.readouterr().err
+    assert len(stub_server.requests) == 1
 
 
 def test_remote_backend_http_error_costs_nothing(stub_server):

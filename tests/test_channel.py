@@ -159,6 +159,18 @@ def test_lowest_snr_still_simulates():
         ChannelConfig(snr_db=-3080.5)
 
 
+def test_lowest_snr_on_a_loud_reverberant_clip_stays_finite():
+    # four in-phase taps of decay 1 lift a constant 0.99 to 4.95, a power of
+    # 24.5, and the noise gain factor at -3080 dB is 1e154: the noise
+    # drowns the signal, and every sample stays finite
+    config = ChannelConfig(snr_db=-3080.0, reverb_taps=4, reverb_delay_ms=1.0,
+                           reverb_decay=1.0)
+    out, scale = simulate(AudioBuffer(np.full(SR, 0.99), SR), config)
+    assert len(out) == SR and np.all(np.isfinite(out.samples))
+    assert scale < 1.0 and np.max(np.abs(out.samples)) <= 1.0
+    assert np.std(out.samples) > 0.1  # what is left is the noise
+
+
 def test_parse_channel_config_roundtrip():
     text = """
     # a deliberately nasty room

@@ -10,7 +10,7 @@ import pytest
 
 import garble
 from garble.attack import BackendError
-from garble.audio_io import read_wav, write_wav
+from garble.audio_io import AudioBuffer, read_wav, write_wav
 from garble.cli import (
     build_parser,
     format_manifest_line,
@@ -22,7 +22,7 @@ from garble.cli import (
 from garble.features import extract_features
 from garble.perturb import (PerturbationParams, apply_params, expand_grid, ParamGrid,
                             tdi_probe_schedule)
-from synth import band_noise, burst_fixture, random_buffer
+from synth import band_noise, burst_fixture, random_buffer, sine_buffer
 
 
 # --- argument micro-parsers ---------------------------------------------------
@@ -222,6 +222,46 @@ def test_simulate_missing_channel_file_exits_2(tmp_path, wav_on_disk, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_simulate_reports_the_renormalization(tmp_path, wav_on_disk, capsys):
+    # a 1 kHz tone repeats every 1 ms, so four taps of decay 1 add in phase:
+    # the 0.5 peak grows to 2.5
+    src = wav_on_disk(sine_buffer(1000.0, amp=0.5))
+    chan = tmp_path / "chan.cfg"
+    chan.write_text("reverb_taps = 4\nreverb_delay_ms = 1\nreverb_decay = 1\n")
+    assert main(["simulate", str(src), str(tmp_path / "out.wav"), "--channel", str(chan)]) == 0
+    assert capsys.readouterr().err == "renormalized by 0.4\n"
+
+
+def test_simulate_lowest_snr_on_a_loud_clip_exits_0(tmp_path, wav_on_disk, capsys):
+    # 0.99 through four in-phase taps, then noise at 1e154 times its amplitude
+    src = wav_on_disk(AudioBuffer(np.full(16000, 0.99), 16000))
+    chan = tmp_path / "chan.cfg"
+    chan.write_text("snr_db = -3080\nreverb_taps = 4\nreverb_delay_ms = 1\nreverb_decay = 1\n")
+    dst = tmp_path / "out.wav"
+    assert main(["simulate", str(src), str(dst), "--channel", str(chan)]) == 0
+    assert len(read_wav(dst.read_bytes())) == 16000
+    assert capsys.readouterr().err.startswith("renormalized by ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["perturb", "{src}", "{out}.wav", "--tdi-ms", "1", "--rpg-ms", "1",
+      "--hfa", "7500:0.1", "--ts", "150"], 0),
+    (["sweep", "{src}", "{out}", "--tdi-ms-range", "1:2:1"], 0),
+    (["simulate", "{src}", "{out}.wav", "--channel", "harsh"], 0),
+    (["vad", "{src}"], 0),
+    (["features", "{src}"], 2),  # no analysis frame to extract
+], ids=["perturb", "sweep", "simulate", "vad", "features"])
+def test_an_empty_wav_through_the_cli(tmp_path, wav_on_disk, capsys, argv, code):
+    src = wav_on_disk(AudioBuffer(np.zeros(0), 16000))
+    paths = {"src": src, "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert "shorter than one analysis frame" in err
+
+
 def test_attack_mock_accepts(tmp_path, wav_on_disk, capsys):
     buf = band_noise(1, duration_s=0.5)
     src = wav_on_disk(buf, "cmd.wav")
@@ -263,6 +303,13 @@ def test_attack_bad_backend_spec_exits_2(wav_on_disk, capsys):
     assert main(["attack", str(src), "--target-phrase", "x",
                  "--backend", "oracle.wav"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["mock:5", "mock::5"])
+def test_attack_mock_spec_without_a_reference_exits_2(wav_on_disk, capsys, spec):
+    src = wav_on_disk(band_noise(5, duration_s=0.2))
+    assert main(["attack", str(src), "--target-phrase", "x", "--backend", spec]) == 2
+    assert "mock backend spec is mock:REFERENCE.wav:THRESHOLD" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, want", [([], 3), (["--budget", "10"], 10)])

@@ -151,12 +151,13 @@ def test_hfa_adds_exact_tone():
 
 
 def test_hfa_tone_follows_the_frequency_type():
-    # float32 arithmetic gives other bytes than float64 at the same value
+    # the tone is built in float64 from float(freq), so np.float32(7500.0)
+    # gives 7500.0's bytes, not a float32-precision tone (numpy 2, NEP 50)
     buf = random_buffer(6, 1600, amp=0.3)
     n = np.arange(1600)
+    want = buf.samples + 0.25 * np.sin(2 * np.pi * 7500.0 * n / SR)
     for freq in (7500.0, np.float32(7500.0), 7500.0):
         out, _ = hfa(buf, ((freq, 0.25),))
-        want = buf.samples + 0.25 * np.sin(2 * np.pi * freq * n / SR)
         assert out.samples.tobytes() == want.tobytes()
 
 

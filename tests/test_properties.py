@@ -2,8 +2,10 @@
 code, the FFT FIR and its FFT size, the band-pass length, the VAD run
 finder and the lazy attack searches against their definitions and the
 references in oracles.py, over arbitrary lengths, windows, taps, seeds,
-schedules and budgets; VAD scale covariance, the WAV and manifest
-round-trips, and read_wav on arbitrary and damaged bytes."""
+schedules and budgets; the channel's output range over every config and
+any float32 input; the empty clip through every transform; VAD scale
+covariance, the WAV and manifest round-trips, and read_wav on arbitrary
+and damaged bytes."""
 
 import math
 import struct
@@ -12,18 +14,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import pytest
 import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_attack
-from garble.audio_io import AudioBuffer, WavFormatError, read_wav, write_wav
-from garble.channel import PRESETS, _band_taps, simulate
+from garble.audio_io import AudioBuffer, WavFormatError, canonicalize, read_wav, write_wav
+from garble.channel import PRESETS, ChannelConfig, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
 from garble.dsp import (_fast_len, apply_fir, frames, lowpass_length, tiles,
                         window_ms_to_samples)
 from garble.features import extract_features, feature_distance
-from garble.perturb import PerturbationParams, apply_params, rpg, tdi, ts
+from garble.perturb import PerturbationParams, apply_params, hfa, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
 from oracles import (
     apply_fir_direct,
@@ -138,9 +141,6 @@ def test_ts_length_and_selection_law(n, factor, seed):
     x = signal(n, seed)
     out = ts(AudioBuffer(x, SR), factor).samples
     s = factor / 100.0
-    if n == 0:
-        assert len(out) == 0
-        return
     assert len(out) == math.floor((n - 0.5) / s) + 1
     # sample round(k*s), clamped to the last when k*s rounds up to n
     idx = [min(round(k * s), n - 1) for k in range(len(out))]
@@ -216,6 +216,65 @@ def test_band_taps_length_is_the_longer_edge_length(rate, low, high, sides):
     want = max(lowpass_length(high, rate) if high is not None else 1,
                lowpass_length(low, rate) if low > 0.0 else 1)
     assert len(_band_taps(low, high, rate)) == want
+
+
+# --- the channel's noise step, and the empty clip -------------------------------
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the loudest sample read_wav returns
+
+
+@bounded
+@given(n=lengths, seed=seeds, peak=st.floats(0.0, FLOAT32_MAX),
+       rate=st.sampled_from((8000, 16000, 22050, 44100, 48000)),
+       band=st.sampled_from([(c.band_low, c.band_high) for c in PRESETS.values()]),
+       snr_db=st.floats(-3080.0, 60.0) | st.just(math.inf), taps=st.integers(0, 8),
+       decay=st.floats(0.0, 1.0), delay_ms=st.floats(1.0, 20.0))
+@example(n=4000, seed=0, peak=FLOAT32_MAX, rate=16000, band=(100.0, 7000.0),
+         snr_db=-3080.0, taps=8, decay=1.0, delay_ms=1.0)
+@example(n=1, seed=1, peak=FLOAT32_MAX, rate=16000, band=(0.0, None),
+         snr_db=-3080.0, taps=0, decay=0.0, delay_ms=1.0)
+def test_simulate_output_is_finite_and_in_full_scale(n, seed, peak, rate, band, snr_db,
+                                                     taps, decay, delay_ms):
+    # float32 samples up to float32 max, through the band, any reverb and
+    # noise at any SNR the config accepts
+    x = (signal(n, seed) * peak).astype(np.float32)
+    config = ChannelConfig(band_low=band[0], band_high=band[1], snr_db=snr_db, seed=seed,
+                           reverb_taps=taps, reverb_decay=decay, reverb_delay_ms=delay_ms)
+    try:
+        out, scale = simulate(AudioBuffer(x, rate), config)
+    except ValueError as exc:
+        # the one rule left to break here: the band's top edge past Nyquist
+        assert "Nyquist" in str(exc) and band[1] > rate / 2
+        return
+    assert len(out) == n and np.all(np.isfinite(out.samples))
+    assert np.max(np.abs(out.samples), initial=0.0) <= 1.0
+    assert 0.0 < scale <= 1.0
+
+
+EMPTY_CLIP_PATHS = {
+    "tdi": lambda x: tdi(x, 1.0),
+    "rpg": lambda x: rpg(x, 1.0, seed=3),
+    "hfa": lambda x: hfa(x, ((7500.0, 0.1),))[0],
+    "ts": lambda x: ts(x, 150.0),
+    "apply_params": lambda x: apply_params(x, PerturbationParams(
+        tdi_window_ms=1.0, rpg_window_ms=1.0, hfa_components=((7500.0, 0.1),),
+        ts_factor_percent=150.0)),
+    "canonicalize": canonicalize,
+    "wav-roundtrip": lambda x: read_wav(write_wav(x)),
+    "apply_fir": lambda x: apply_fir(x, HARSH_TAPS),
+    "apply_fir-1-tap": lambda x: apply_fir(x, np.ones(1)),
+    "simulate-transparent": lambda x: simulate(x, PRESETS["transparent"])[0],
+    "simulate-harsh": lambda x: simulate(x, PRESETS["harsh"])[0],
+}
+
+
+@pytest.mark.parametrize("path", EMPTY_CLIP_PATHS.values(), ids=EMPTY_CLIP_PATHS.keys())
+def test_an_empty_clip_stays_empty(path):
+    # each transform's general rule gives an empty clip for an empty one,
+    # and the VAD finds no speech in it
+    out = path(AudioBuffer(np.zeros(0), 48000))
+    assert isinstance(out, AudioBuffer) and len(out) == 0
+    assert detect_speech(out) == []
 
 
 # --- VAD, WAV and manifest ------------------------------------------------------
