@@ -70,7 +70,7 @@ def renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
     scale is 1.0 (and x is returned as is) when |x| <= 1 throughout, so the
     caller can report every rescale instead of hard-clipping.
     """
-    peak = float(np.max(np.abs(x))) if len(x) else 0.0
+    peak = float(np.max(np.abs(x), initial=0.0))
     if peak <= 1.0:
         return x, 1.0
     scale = 1.0 / peak

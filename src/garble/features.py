@@ -36,7 +36,7 @@ class FeatureConfig:
     hop_ms: float = 10.0
     analysis_window: str = "hamming"
     n_filters: int = 26
-    n_coefficients: int = 13
+    n_coefficients: int = 13      # MFCC only; MFSC keeps all n_filters
     include_dct: bool = True      # True -> MFCC, False -> MFSC (log energies)
     use_power: bool = True        # magnitude-squared spectrum vs magnitude
     pre_emphasis: float = 0.0     # 0 disables; typical speech value 0.97
@@ -50,7 +50,7 @@ class FeatureConfig:
             raise ValueError("pre_emphasis must be finite")
         if self.n_filters < 1:
             raise ValueError("n_filters must be >= 1")
-        if not 1 <= self.n_coefficients <= self.n_filters:
+        if self.include_dct and not 1 <= self.n_coefficients <= self.n_filters:
             raise ValueError("need 1 <= n_coefficients <= n_filters")
 
 
@@ -170,7 +170,7 @@ def extract_features(audio: AudioBuffer,
         data = logs @ _dct_rows(config.n_coefficients, config.n_filters).T
     else:
         data = logs
-    return FeatureMatrix(np.ascontiguousarray(data), config, audio.sample_rate)
+    return FeatureMatrix(data, config, audio.sample_rate)
 
 
 def feature_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:

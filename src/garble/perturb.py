@@ -178,7 +178,7 @@ def expand_grid(grid: ParamGrid) -> list[PerturbationParams]:
     """Cartesian product of the axes, deterministic lexicographic order
     (tdi-major, then rpg, hfa, ts)."""
     return [PerturbationParams(tdi_window_ms=t, rpg_window_ms=r, rpg_seed=grid.rpg_seed,
-                               hfa_components=tuple(h), ts_factor_percent=s)
+                               hfa_components=h, ts_factor_percent=s)
             for t, r, h, s in itertools.product(
                 grid.tdi_window_ms, grid.rpg_window_ms, grid.hfa_components,
                 grid.ts_factor_percent)]

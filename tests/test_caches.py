@@ -18,9 +18,10 @@ from garble.perturb import hfa, rpg
 from oracles import rpg_loop
 from synth import SR, random_buffer
 
-CACHES = (channel._band_taps, channel._unit_noise, dsp._taps_spectrum,
-          features.mel_filterbank, features._hamming, features._dct_rows,
-          perturb._phasor_stream, perturb._tone)
+# every cached function in the modules that keep tables, so a new cache is
+# cleared by the cold runs below without being listed here
+CACHES = tuple(fn for module in (channel, dsp, features, perturb)
+               for fn in vars(module).values() if hasattr(fn, "cache_clear"))
 LENGTHS = (1, 300, 1601, 24000)
 RATES = (16000, 22050)
 CHANNELS = (PRESETS["harsh"], replace(PRESETS["harsh"], seed=5),
@@ -72,23 +73,25 @@ def test_cached_tables_are_read_only():
     hfa(random_buffer(4, 24000), ((7500.0, 0.1),))
     taps = channel._band_taps(harsh.band_low, harsh.band_high, 16000)
     size = dsp._fast_len(24000 + (len(taps) - 1) // 2)
-    tables = [
-        taps,
-        dsp._taps_spectrum(taps.tobytes(), size),
-        channel._unit_noise(harsh.seed, 24000)[0],
-        features.mel_filterbank(26, 512, 16000),
-        features._hamming(320),
-        features._dct_rows(13, 26),
-        perturb._phasor_stream(4, 24000),
-        perturb._tone(7500.0, 24000, 16000),
-    ]
+    tables = {
+        channel._band_taps: taps,
+        dsp._taps_spectrum: dsp._taps_spectrum(taps.tobytes(), size),
+        channel._unit_noise: channel._unit_noise(harsh.seed, 24000)[0],
+        features.mel_filterbank: features.mel_filterbank(26, 512, 16000),
+        features._hamming: features._hamming(320),
+        features._dct_rows: features._dct_rows(13, 26),
+        perturb._phasor_stream: perturb._phasor_stream(4, 24000),
+        perturb._tone: perturb._tone(7500.0, 24000, 16000),
+    }
+    # every cache holds a table but _fast_len, which returns an int
+    assert set(tables) == set(CACHES) - {dsp._fast_len}
     for cache in CACHES:  # the calls above built every table fetched here
         assert cache.cache_info().hits >= 1
-    for table in tables:
+    for table in tables.values():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
-    assert features.mel_filterbank(26, 512, 16000) is tables[3]
+    assert features.mel_filterbank(26, 512, 16000) is tables[features.mel_filterbank]
 
 
 def test_cold_and_warm_caches_give_the_same_bytes():

@@ -153,6 +153,15 @@ def test_features_mfsc_mode(wav_on_disk, capsys):
     assert all(len(r.split()) == 20 for r in rows)
 
 
+def test_features_mfsc_ignores_the_coefficient_count(wav_on_disk, capsys):
+    # fewer filters than the default 13 coefficients: MFSC computes none
+    src = wav_on_disk(band_noise(95, duration_s=1.0))
+    assert main(["features", str(src), "--mfsc", "--n-filters", "10"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert len(rows) == 99
+    assert all(len(r.split()) == 10 for r in rows)
+
+
 def test_compare_reports_preserved_magnitudes(tmp_path, wav_on_disk, capsys):
     buf = band_noise(96, duration_s=0.5)
     src = wav_on_disk(buf, "a.wav")

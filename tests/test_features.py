@@ -5,6 +5,7 @@ import scipy.fft
 from garble.audio_io import AudioBuffer
 from garble.features import (
     FeatureConfig,
+    FeatureMatrix,
     _dct_rows,
     extract_features,
     feature_distance,
@@ -54,6 +55,11 @@ def test_filterbank_matches_reference_construction():
     got = mel_filterbank(26, 512, SR)
     want = mel_bank_reference(26, 512, SR)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_filterbank_needs_a_filter():
+    with pytest.raises(ValueError):
+        mel_filterbank(0, 512, SR)
 
 
 # --- framing laws ------------------------------------------------------------
@@ -169,6 +175,10 @@ def test_config_validation():
         FeatureConfig(n_coefficients=27)
     with pytest.raises(ValueError):
         FeatureConfig(n_coefficients=0)
+    # MFSC computes no coefficients, so their count is not checked
+    assert FeatureConfig(include_dct=False, n_filters=10).n_filters == 10
+    with pytest.raises(ValueError):
+        FeatureConfig(include_dct=False, n_filters=0)
 
 
 def test_to_text_roundtrip():
@@ -210,6 +220,13 @@ def test_feature_distance_rejects_mismatches():
     c = extract_features(band_noise(30, duration_s=0.2, sr=8000))
     with pytest.raises(ValueError):
         feature_distance(a, c)
+
+
+def test_feature_distance_rejects_empty_matrices():
+    a = extract_features(band_noise(31, duration_s=0.2))
+    empty = FeatureMatrix(a.data[:0], a.config, a.sample_rate)
+    with pytest.raises(ValueError, match="no frames to compare"):
+        feature_distance(a, empty)
 
 
 def test_max_window_magnitude_diff_matches_direct_dft():
