@@ -22,7 +22,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
 from .features import FeatureMatrix, extract_features, feature_distance, has_frames
-from .perturb import PerturbationParams, apply_params
+from .perturb import PerturbationParams, apply_params, check_params
 
 DEFAULT_QUERY_BUDGET = 10
 
@@ -174,11 +174,15 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
 
     Returns the first accepted AttackCandidate (verdict attached), or an
     ExhaustionReport when the schedule or the budget runs out. Running out
-    of budget mid-schedule is a normal outcome here, not an exception. Each
-    candidate is rendered only when a query is spent on it.
+    of budget mid-schedule is a normal outcome here, not an exception. Every
+    point is checked at the source's rate before the first query (a bad one
+    raises ValueError), and each candidate is rendered only when a query is
+    spent on it.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
+    for params in schedule:
+        check_params(params, source.sample_rate)
     _require_fresh(backend)
     return _first_accepted(backend, _ranked_candidates(source, schedule))
 
@@ -190,7 +194,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     its k worst-sounding variants that MockOracle(word, "", feature_threshold)
     would accept are kept, rendered worst-sounding first and only until k
     pass. The k^n concatenations are then queried in lexicographic order of
-    per-word distortion rank. Same return contract as generic_attack.
+    per-word distortion rank. Same return contract as generic_attack, and
+    every point is checked before the first query, rendered or not.
     feature_threshold must be >= 0; the default +inf keeps every variant.
     """
     if not words:
@@ -201,6 +206,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
         raise ValueError("schedule must be nonempty")
     if len({w.sample_rate for w in words}) != 1:
         raise ValueError("words must share one sample rate")
+    for params in schedule:
+        check_params(params, words[0].sample_rate)
     if not feature_threshold >= 0:  # NaN fails too
         raise ValueError("feature_threshold must be >= 0")
     _require_fresh(backend)
@@ -228,13 +235,10 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
 
 # --- remote HTTP backend ----------------------------------------------------
 
-_PUNCTUATION_KEEP = set("abcdefghijklmnopqrstuvwxyz0123456789 ")
-
-
 def normalize_phrase(text: str) -> list[str]:
-    """Lowercase words with punctuation stripped."""
-    lowered = text.lower()
-    cleaned = "".join(ch if ch in _PUNCTUATION_KEEP else " " for ch in lowered)
+    """Casefolded words: any character that is not a letter or a digit, in
+    any script, separates words."""
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.casefold())
     return cleaned.split()
 
 

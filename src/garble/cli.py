@@ -21,8 +21,8 @@ from .audio_io import AudioBuffer, canonicalize, read_wav, write_wav
 from .channel import resolve_channel, simulate
 from .features import (FeatureConfig, extract_features, feature_distance,
                        max_window_magnitude_diff, spectrum)
-from .perturb import (ParamGrid, PerturbationParams, apply_params, expand_grid,
-                      tdi_probe_schedule)
+from .perturb import (ParamGrid, PerturbationParams, apply_params, check_params,
+                      expand_grid, tdi_probe_schedule)
 from .vad import detect_speech, format_regions
 
 DEFAULT_SEED = 42
@@ -131,6 +131,8 @@ def cmd_sweep(args) -> int:
         ts_factor_percent=parse_float_range(args.ts_range) if args.ts_range else (None,),
         rpg_seed=args.seed)
     points = expand_grid(grid)
+    for params in points:
+        check_params(params, audio.sample_rate)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem

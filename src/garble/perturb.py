@@ -50,9 +50,7 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
     (_phasor_stream), so the output is a pure function of (samples, window,
     seed).
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _checked_seed(seed)
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     phasors = _phasor_stream(seed, len(audio.samples))
     out = []
@@ -65,6 +63,14 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
         phasors = phasors[used:]
         out.append(np.fft.irfft(bins, n=n, axis=1).ravel())
     return AudioBuffer(np.concatenate(out), audio.sample_rate)
+
+
+def _checked_seed(seed) -> int:
+    """rpg's seed rule: an integer >= 0."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @functools.lru_cache(maxsize=4)
@@ -92,16 +98,21 @@ def hfa(audio: AudioBuffer,
     buffer is rescaled by 1/peak (scale < 1.0 reports that); samples are
     never hard-clipped, so the spectral shape survives.
     """
-    nyquist = audio.sample_rate / 2.0
     out = audio.samples.copy()
     for freq, amp in components:
-        if not 0.0 < freq < nyquist:
-            raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
-        if not 0.0 <= amp < math.inf:
-            raise ValueError(f"component amplitude {amp} must be finite and >= 0")
+        _check_component(freq, amp, audio.sample_rate)
         out += amp * _tone(float(freq), len(out), audio.sample_rate)
     out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale
+
+
+def _check_component(freq: float, amp: float, sample_rate: int):
+    """hfa's component rule: 0 < freq < Nyquist, and a finite amp >= 0."""
+    nyquist = sample_rate / 2.0
+    if not 0.0 < freq < nyquist:
+        raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
+    if not 0.0 <= amp < math.inf:
+        raise ValueError(f"component amplitude {amp} must be finite and >= 0")
 
 
 @functools.lru_cache(maxsize=8)
@@ -121,13 +132,18 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
     rejected (this primitive only ever drops samples), as are inf and NaN.
     The output has floor((n - 0.5) / s) + 1 samples (none for empty input).
     """
-    if not 100.0 <= factor_percent < math.inf:
-        raise ValueError("ts factor must be finite and >= 100 percent")
-    s = factor_percent / 100.0
+    s = _speedup(factor_percent)
     n = len(audio.samples)
     count = math.floor((n - 0.5) / s) + 1
     idx = np.minimum(np.round(np.arange(count) * s), n - 1).astype(np.int64)
     return AudioBuffer(audio.samples[idx], audio.sample_rate)
+
+
+def _speedup(factor_percent: float) -> float:
+    """ts's factor rule: a finite percentage >= 100, as the speed-up s."""
+    if not 100.0 <= factor_percent < math.inf:
+        raise ValueError("ts factor must be finite and >= 100 percent")
+    return factor_percent / 100.0
 
 
 @dataclass(frozen=True)
@@ -161,6 +177,21 @@ def apply_params(audio: AudioBuffer, params: PerturbationParams) -> AudioBuffer:
     if params.hfa_components:
         audio, _scale = hfa(audio, params.hfa_components)
     return audio
+
+
+def check_params(params: PerturbationParams, sample_rate: int):
+    """Raise, without rendering, what apply_params raises when params
+    breaks a primitive's rule at sample_rate, checked in the same order.
+    These rules depend on the rate, never on the samples."""
+    if params.ts_factor_percent is not None:
+        _speedup(params.ts_factor_percent)
+    if params.tdi_window_ms is not None:
+        window_ms_to_samples(params.tdi_window_ms, sample_rate)
+    if params.rpg_window_ms is not None:
+        _checked_seed(params.rpg_seed)
+        window_ms_to_samples(params.rpg_window_ms, sample_rate)
+    for freq, amp in params.hfa_components:
+        _check_component(freq, amp, sample_rate)
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,26 @@ def test_improved_attack_renders_k_variants_per_word(render_count):
     assert render_count == [schedule[0], schedule[1]] * 2
 
 
+@pytest.mark.parametrize("bad", [
+    PerturbationParams(tdi_window_ms=3.0, ts_factor_percent=50.0),
+    PerturbationParams(hfa_components=((9000.0, 0.1),)),
+    PerturbationParams(tdi_window_ms=1e306),
+], ids=["ts-slowdown", "hfa-past-nyquist", "tdi-too-long"])
+def test_a_bad_point_ranked_last_fails_before_any_query(render_count, bad):
+    # each bad point ranks after tdi 2 ms: generic_attack would render it
+    # after a spent query, and improved_attack at k = 1 would never render it
+    source = band_noise(67, duration_s=1.5)
+    schedule = [PerturbationParams(tdi_window_ms=2.0), bad]
+    assert distortion_key(schedule[0]) < distortion_key(bad)
+    for search in (lambda backend: generic_attack(source, backend, schedule),
+                   lambda backend: improved_attack([source], 1, backend, schedule)):
+        backend = MockOracle(source, "x", threshold=0.0)
+        with pytest.raises(ValueError):
+            search(backend)
+        assert backend.queries_used == 0
+    assert render_count == []
+
+
 def test_generic_attack_deterministic():
     ref, schedule, threshold, _ = attackable_fixture()
     a = generic_attack(ref, MockOracle(ref, "x", threshold), schedule)
@@ -335,6 +355,9 @@ def test_normalize_phrase():
     assert normalize_phrase("Open, the DOOR!") == ["open", "the", "door"]
     assert normalize_phrase("  ") == []
     assert normalize_phrase("a-b c") == ["a", "b", "c"]
+    # letters and digits of any script are word characters
+    assert normalize_phrase("Öffne die Tür") == ["öffne", "die", "tür"]
+    assert normalize_phrase("打开门") == ["打开门"]
 
 
 def test_word_edit_distance():
@@ -352,6 +375,9 @@ def test_phrase_matches():
     assert not phrase_matches("open the window", "open the door")  # distance 4
     assert phrase_matches("open the windw", "open the window")
     assert not phrase_matches("open the dxxr", "open the door", max_word_edit=1)
+    assert phrase_matches("offne die tur", "Öffne die Tür")  # one edit per word
+    assert phrase_matches("打开门。", "打开门")
+    assert not phrase_matches("关上门", "打开门", max_word_edit=1)
 
 
 # --- remote backend ----------------------------------------------------------------

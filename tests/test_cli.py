@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import garble
-from garble.attack import BackendError
+from garble.attack import BackendError, TranscriberBackend
 from garble.audio_io import AudioBuffer, read_wav, write_wav
 from garble.cli import (
     build_parser,
@@ -370,6 +370,32 @@ def test_attack_target_phrase_with_no_words_exits_2(tmp_path, wav_on_disk, capsy
     assert main(["attack", str(src), "--target-phrase", phrase,
                  "--backend", f"remote:{config_path}"]) == 2
     assert "no words" in capsys.readouterr().err
+
+
+def test_attack_bad_ladder_rung_exits_2_before_any_query(wav_on_disk, capsys, monkeypatch):
+    # the 1 ms rung is fine and ranked first; the 1e306 ms rung is not
+    queries = []
+    transcribe = TranscriberBackend.transcribe
+
+    def counted(backend, audio):
+        queries.append(len(audio))
+        return transcribe(backend, audio)
+
+    monkeypatch.setattr(TranscriberBackend, "transcribe", counted)
+    src = wav_on_disk(band_noise(13, duration_s=0.5))
+    assert main(["attack", str(src), "--target-phrase", "x", "--backend", f"mock:{src}:0",
+                 "--start-ms", "1", "--step-ms", "1e306", "--count", "2"]) == 2
+    assert "too long to index" in capsys.readouterr().err
+    assert queries == []
+
+
+def test_sweep_bad_point_exits_2_before_any_file(tmp_path, wav_on_disk, capsys):
+    # 1 ms, then 5e299 ms and 1e300 ms, which no frame view can index
+    src = wav_on_disk(band_noise(14, duration_s=0.5))
+    outdir = tmp_path / "sw"
+    assert main(["sweep", str(src), str(outdir), "--tdi-ms-range", "1:1e300:5e299"]) == 2
+    assert "too long to index" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_attack_ladder_defaults_come_from_tdi_probe_schedule(monkeypatch):

@@ -10,15 +10,6 @@ from synth import SR, random_buffer, sine_buffer
 # --- framing ----------------------------------------------------------------
 
 
-def test_frame_signal_natural_tail():
-    x = np.arange(7, dtype=np.float64)
-    view = frames(x, 3, 3)
-    assert view.shape == (2, 3)
-    assert np.array_equal(view, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
-    assert np.array_equal(x[view.size:], [6.0])  # the remainder callers keep
-    assert not view.flags.writeable
-
-
 def test_frame_signal_overlap_and_validation():
     x = np.arange(10, dtype=np.float64)
     view = frames(x, 4, 2)

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
-from garble.dsp import window_ms_to_samples
 from garble.perturb import (
     ParamGrid,
     PerturbationParams,
@@ -24,20 +21,6 @@ from synth import SR, random_buffer
 def ms(n_samples, rate=SR):
     """Milliseconds that convert back to exactly n_samples at this rate."""
     return n_samples * 1000.0 / rate
-
-
-# --- window arithmetic -------------------------------------------------------
-
-
-def test_window_ms_to_samples():
-    assert window_ms_to_samples(20.0, 16000) == 320
-    assert window_ms_to_samples(1.0, 16000) == 16
-    assert window_ms_to_samples(0.01, 16000) == 1  # floor at one sample
-    assert window_ms_to_samples(1.0, 44100) == 44
-    with pytest.raises(ValueError):
-        window_ms_to_samples(0.0, 16000)
-    with pytest.raises(ValueError):
-        window_ms_to_samples(-1.0, 16000)
 
 
 # --- time-domain inversion ---------------------------------------------------
@@ -65,15 +48,6 @@ def test_tdi_window_of_one_is_identity():
 def test_tdi_window_covering_buffer_reverses_everything():
     buf = random_buffer(1, 50)
     assert np.array_equal(tdi(buf, ms(64)).samples, buf.samples[::-1])
-
-
-def test_tdi_involution_randomized(rng):
-    for _ in range(50):
-        n = int(rng.integers(1, 5000))
-        w = int(rng.integers(1, 700))
-        buf = AudioBuffer(rng.uniform(-1, 1, n), SR)
-        twice = tdi(tdi(buf, ms(w)), ms(w))
-        assert np.array_equal(twice.samples, buf.samples)
 
 
 # --- random phase generation -------------------------------------------------
@@ -203,28 +177,6 @@ def test_ts_identity_and_simple_decimation():
     out = ts(buf, 200.0)
     assert np.array_equal(out.samples, buf.samples[::2])
     assert out.sample_rate == buf.sample_rate
-
-
-def test_ts_selection_law():
-    buf = random_buffer(10, 1000)
-    for factor in [125.0, 150.0, 175.0, 300.0]:
-        s = factor / 100.0
-        out = ts(buf, factor)
-        idx = np.minimum(np.round(np.arange(len(out)) * s), 999).astype(int)
-        assert np.array_equal(out.samples, buf.samples[idx])
-
-
-def test_ts_length_law(rng):
-    # the last k*s is n - 0.5 here and rounds half-to-even up to n; its
-    # index clamps to n - 1 instead of dropping the sample
-    x = np.arange(8.0)
-    assert ts(AudioBuffer(x[:2], SR), 150.0).samples.tolist() == [0.0, 1.0]
-    assert ts(AudioBuffer(x, SR), 250.0).samples.tolist() == [0.0, 2.0, 5.0, 7.0]
-    for _ in range(40):
-        n = int(rng.integers(1, 20000))
-        factor = float(rng.choice([100.0, 150.0, 200.0, 250.0, 300.0]))
-        out = ts(AudioBuffer(rng.uniform(-1, 1, n), SR), factor)
-        assert len(out) == math.floor((n - 0.5) / (factor / 100.0)) + 1
 
 
 def test_ts_rejects_slowdown():

@@ -2,10 +2,10 @@
 code, the FFT FIR and its FFT size, the band-pass length, the VAD run
 finder and the lazy attack searches against their definitions and the
 references in oracles.py, over arbitrary lengths, windows, taps, seeds,
-schedules and budgets; the channel's output range over every config and
-any float32 input; the empty clip through every transform; VAD scale
-covariance, the WAV and manifest round-trips, and read_wav on arbitrary
-and damaged bytes."""
+schedules and budgets; check_params against the errors of apply_params;
+the channel's output range over every config and any float32 input; the
+empty clip through every transform; VAD scale covariance, the WAV and
+manifest round-trips, and read_wav on arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,7 @@ from garble.cli import format_manifest_line, parse_manifest_line
 from garble.dsp import (_fast_len, apply_fir, frames, lowpass_length, tiles,
                         window_ms_to_samples)
 from garble.features import extract_features, feature_distance
-from garble.perturb import PerturbationParams, apply_params, hfa, rpg, tdi, ts
+from garble.perturb import PerturbationParams, apply_params, check_params, hfa, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
 from oracles import (
     apply_fir_direct,
@@ -52,6 +51,7 @@ def signal(n, seed):
 
 @bounded
 @given(n=lengths, length=st.integers(1, 600), hop=st.integers(1, 600), seed=seeds)
+@example(n=7, length=3, hop=3, seed=0)  # two full frames and a one-sample tail
 def test_frames_matches_definition(n, length, hop, seed):
     x = signal(n, seed)
     view = frames(x, length, hop)
@@ -70,6 +70,9 @@ def test_frames_matches_definition(n, length, hop, seed):
 
 @bounded
 @given(window_ms=st.floats(), rate=st.integers(1, 192_000))
+@example(window_ms=20.0, rate=16000)
+@example(window_ms=0.0, rate=16000)
+@example(window_ms=-1.0, rate=16000)
 @example(window_ms=math.nan, rate=16000)
 @example(window_ms=-math.inf, rate=16000)
 @example(window_ms=5e-324, rate=192_000)  # the least subnormal: one sample
@@ -86,6 +89,7 @@ def test_window_ms_to_samples_counts_or_raises_value_error(window_ms, rate):
         # a window of up to 1e12 ms (31 years) always has a count
         assert not 0 < window_ms <= 1e12
         return
+    assert 0 < window_ms < math.inf
     assert got == max(1, round(window_ms * rate / 1000))
     # a count it returns can stride over float64 samples
     assert frames(np.zeros(1), got, got).shape == (0 if got > 1 else 1, got)
@@ -149,6 +153,36 @@ def test_ts_length_and_selection_law(n, factor, seed):
     assert round(Fraction(len(out)) * Fraction(s)) >= n
 
 
+def raised(call):
+    """The ValueError call raises, as (type, message), or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+maybe_floats = st.none() | st.floats() | st.sampled_from([1.0, 150.0])
+
+
+@bounded
+@given(params=st.builds(PerturbationParams, tdi_window_ms=maybe_floats,
+                        rpg_window_ms=maybe_floats, rpg_seed=st.integers(-2, 2**64),
+                        hfa_components=st.lists(st.tuples(st.floats(), st.floats()),
+                                                max_size=2).map(tuple),
+                        ts_factor_percent=maybe_floats),
+       n=st.integers(0, 50), rate=st.sampled_from([8000, 16000, 48000]))
+@example(params=PerturbationParams(tdi_window_ms=3.0, ts_factor_percent=50.0), n=50, rate=SR)
+@example(params=PerturbationParams(hfa_components=((9000.0, 0.1),)), n=50, rate=SR)
+@example(params=PerturbationParams(tdi_window_ms=1e306), n=50, rate=SR)
+@example(params=PerturbationParams(rpg_window_ms=1.0, rpg_seed=-1), n=50, rate=SR)
+def test_check_params_raises_what_apply_params_raises(params, n, rate):
+    # the same rules, in the same order, for any clip in [-1, 1] at the rate
+    audio = AudioBuffer(signal(n, n), rate)
+    assert raised(lambda: check_params(params, rate)) == raised(
+        lambda: apply_params(audio, params))
+
+
 # --- FFT FIR against direct convolution -----------------------------------------
 
 # the 1601-tap band-pass of simulate
@@ -177,12 +211,20 @@ def test_apply_fir_matches_direct_convolution(n, taps, seed):
     assert np.max(np.abs(got - want)) <= bound
 
 
+@pytest.fixture(scope="module")
+def scipy_fft():
+    # scipy is a test-only dependency. Skipping in the fixture, before
+    # hypothesis runs, keeps hypothesis from reporting the skipped explicit
+    # example as falsifying
+    return pytest.importorskip("scipy.fft")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(n=st.integers(1, 30000))
 @example(n=24000 + 1601 - 1)  # 1.5 s at 16 kHz through the harsh band's 1601 taps
-def test_fast_len_is_scipy_next_fast_len(n):
-    # scipy is a test-only dependency; here it is the oracle for the FFT size
-    assert _fast_len(n) == scipy.fft.next_fast_len(n, real=True)
+def test_fast_len_is_scipy_next_fast_len(scipy_fft, n):
+    # scipy is the oracle for the FFT size
+    assert _fast_len(n) == scipy_fft.next_fast_len(n, real=True)
 
 
 def test_harsh_simulate_wav_bytes_match_direct_convolution(monkeypatch):
