@@ -14,6 +14,7 @@ import json
 import math
 import os
 import typing
+import unicodedata
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
@@ -236,9 +237,11 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
 # --- remote HTTP backend ----------------------------------------------------
 
 def normalize_phrase(text: str) -> list[str]:
-    """Casefolded words: any character that is not a letter or a digit, in
-    any script, separates words."""
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in text.casefold())
+    """Casefolded words of the composed (NFC) text, so decomposed and
+    composed spellings give the same words: any character that is not a
+    letter or a digit, in any script, separates words."""
+    folded = unicodedata.normalize("NFC", text).casefold()
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in folded)
     return cleaned.split()
 
 

@@ -92,27 +92,42 @@ def _phasor_stream(seed: int, n: int) -> np.ndarray:
 def hfa(audio: AudioBuffer,
         components: tuple[tuple[float, float], ...]) -> tuple[AudioBuffer, float]:
     """Add amplitude * sin(2*pi*f*n/rate) per (f, amplitude) component; the
-    unit tone of each (f, length, rate) is built once (_tone).
+    unit tone of each (f, length, rate) is built once (_tone). Each f must lie
+    in (0, Nyquist), each amplitude be finite and >= 0, and the amplitudes
+    sum to at most 1e300, which keeps the mix finite (_check_components).
 
     Returns (buffer, scale). If the mix peaks past full scale the whole
     buffer is rescaled by 1/peak (scale < 1.0 reports that); samples are
     never hard-clipped, so the spectral shape survives.
     """
+    _check_components(components, audio.sample_rate)
     out = audio.samples.copy()
     for freq, amp in components:
-        _check_component(freq, amp, audio.sample_rate)
         out += amp * _tone(float(freq), len(out), audio.sample_rate)
     out, scale = renormalize(out)
     return AudioBuffer(out, audio.sample_rate), scale
 
 
-def _check_component(freq: float, amp: float, sample_rate: int):
-    """hfa's component rule: 0 < freq < Nyquist, and a finite amp >= 0."""
+_MAX_AMPLITUDE_SUM = 1e300
+
+
+def _check_components(components, sample_rate: int):
+    """hfa's component rule: each 0 < freq < Nyquist with a finite amp >= 0,
+    and the amps summing to at most 1e300.
+
+    The sum bound keeps the mix finite on any clip that peaks below 1e307.
+    A clip read_wav returns peaks below float32's max, 3.4e38, and stays far
+    below 1e307 through ts, tdi and rpg (rpg raises a peak by at most the
+    square root of its window length)."""
     nyquist = sample_rate / 2.0
-    if not 0.0 < freq < nyquist:
-        raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
-    if not 0.0 <= amp < math.inf:
-        raise ValueError(f"component amplitude {amp} must be finite and >= 0")
+    for freq, amp in components:
+        if not 0.0 < freq < nyquist:
+            raise ValueError(f"component frequency {freq} Hz outside (0, {nyquist})")
+        if not 0.0 <= amp < math.inf:
+            raise ValueError(f"component amplitude {amp} must be finite and >= 0")
+    total = sum(amp for _freq, amp in components)
+    if not total <= _MAX_AMPLITUDE_SUM:
+        raise ValueError(f"component amplitudes sum to {total}, past {_MAX_AMPLITUDE_SUM}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -190,8 +205,7 @@ def check_params(params: PerturbationParams, sample_rate: int):
     if params.rpg_window_ms is not None:
         _checked_seed(params.rpg_seed)
         window_ms_to_samples(params.rpg_window_ms, sample_rate)
-    for freq, amp in params.hfa_components:
-        _check_component(freq, amp, sample_rate)
+    _check_components(params.hfa_components, sample_rate)
 
 
 @dataclass(frozen=True)

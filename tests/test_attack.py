@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import unicodedata
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -206,7 +207,9 @@ def test_improved_attack_renders_k_variants_per_word(render_count):
     PerturbationParams(tdi_window_ms=3.0, ts_factor_percent=50.0),
     PerturbationParams(hfa_components=((9000.0, 0.1),)),
     PerturbationParams(tdi_window_ms=1e306),
-], ids=["ts-slowdown", "hfa-past-nyquist", "tdi-too-long"])
+    # each amplitude is finite, but the mix of the two is not
+    PerturbationParams(hfa_components=((1000.0, 1e308), (1000.0, 1e308))),
+], ids=["ts-slowdown", "hfa-past-nyquist", "tdi-too-long", "hfa-overflow"])
 def test_a_bad_point_ranked_last_fails_before_any_query(render_count, bad):
     # each bad point ranks after tdi 2 ms: generic_attack would render it
     # after a spent query, and improved_attack at k = 1 would never render it
@@ -358,6 +361,9 @@ def test_normalize_phrase():
     # letters and digits of any script are word characters
     assert normalize_phrase("Öffne die Tür") == ["öffne", "die", "tür"]
     assert normalize_phrase("打开门") == ["打开门"]
+    # decomposed (NFD) text gives the composed words
+    assert normalize_phrase(unicodedata.normalize("NFD", "Öffne die Tür")) == [
+        "öffne", "die", "tür"]
 
 
 def test_word_edit_distance():
@@ -377,6 +383,8 @@ def test_phrase_matches():
     assert not phrase_matches("open the dxxr", "open the door", max_word_edit=1)
     assert phrase_matches("offne die tur", "Öffne die Tür")  # one edit per word
     assert phrase_matches("打开门。", "打开门")
+    assert phrase_matches(unicodedata.normalize("NFD", "Öffne die Tür"), "Öffne die Tür",
+                          max_word_edit=0)
     assert not phrase_matches("关上门", "打开门", max_word_edit=1)
 
 
@@ -406,7 +414,9 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.requests = []
     server.responses = [(200, b"{}")]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() returns at once instead of after 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield server

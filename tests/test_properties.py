@@ -176,6 +176,8 @@ maybe_floats = st.none() | st.floats() | st.sampled_from([1.0, 150.0])
 @example(params=PerturbationParams(hfa_components=((9000.0, 0.1),)), n=50, rate=SR)
 @example(params=PerturbationParams(tdi_window_ms=1e306), n=50, rate=SR)
 @example(params=PerturbationParams(rpg_window_ms=1.0, rpg_seed=-1), n=50, rate=SR)
+@example(params=PerturbationParams(hfa_components=((1000.0, 1e308), (1000.0, 1e308))),
+         n=50, rate=SR)  # finite amplitudes whose mix is not
 def test_check_params_raises_what_apply_params_raises(params, n, rate):
     # the same rules, in the same order, for any clip in [-1, 1] at the rate
     audio = AudioBuffer(signal(n, n), rate)
