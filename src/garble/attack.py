@@ -15,8 +15,6 @@ import math
 import os
 import typing
 import unicodedata
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -239,9 +237,11 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
 def normalize_phrase(text: str) -> list[str]:
     """Casefolded words of the composed (NFC) text, so decomposed and
     composed spellings give the same words: any character that is not a
-    letter or a digit, in any script, separates words."""
+    letter, a digit or a mark (Unicode category M*, such as a vowel sign or
+    a combining accent), in any script, separates words."""
     folded = unicodedata.normalize("NFC", text).casefold()
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in folded)
+    cleaned = "".join(ch if ch.isalnum() or unicodedata.category(ch)[0] == "M" else " "
+                      for ch in folded)
     return cleaned.split()
 
 
@@ -341,6 +341,10 @@ class RemoteTranscriber(TranscriberBackend):
         self.target_phrase = target_phrase
 
     def _evaluate(self, audio: AudioBuffer) -> tuple[bool, str]:
+        # imported here: the HTTP stack would cost every CLI start 25-55 ms
+        import http.client
+        import urllib.request
+
         headers = {"Content-Type": self.config.content_type}
         if self.config.auth_env:
             token = os.environ.get(self.config.auth_env)
@@ -354,7 +358,7 @@ class RemoteTranscriber(TranscriberBackend):
         try:
             with urllib.request.urlopen(request, timeout=60.0) as response:
                 body = response.read()
-        except (urllib.error.URLError, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
             raise BackendError(f"transport failure: {exc}") from exc
         try:
             document = json.loads(body.decode("utf-8"))

@@ -126,9 +126,10 @@ def write_wav(audio: AudioBuffer) -> bytes:
     """
     if audio.sample_rate > 0x7FFFFFFF:  # the header's byte rate, 2 * rate, is 32-bit
         raise ValueError(f"sample rate {audio.sample_rate} does not fit a WAV header")
-    q = np.round(audio.samples * _PCM_FULL_SCALE)
-    q = np.clip(q, -32768, 32767).astype("<i2")
-    payload = q.tobytes()
+    q = audio.samples * _PCM_FULL_SCALE
+    np.round(q, out=q)
+    np.clip(q, -32768, 32767, out=q)
+    payload = q.astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",

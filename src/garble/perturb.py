@@ -34,9 +34,14 @@ def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
     """Reverse every consecutive window; a partial tail reverses at its own
     length. Applying tdi twice with the same window is the exact identity."""
     w = window_ms_to_samples(window_ms, audio.sample_rate)
-    blocks = tiles(audio.samples, w)
-    return AudioBuffer(np.concatenate([b[:, ::-1].ravel() for b in blocks]),
-                       audio.sample_rate)
+    x = audio.samples
+    # plain reshapes, not dsp.tiles, whose strided view costs about as much
+    # to build as the copy itself on a 1 s clip
+    cut = len(x) - len(x) % w  # the full windows end here
+    out = np.empty(len(x))
+    out[:cut].reshape(-1, w)[...] = x[:cut].reshape(-1, w)[:, ::-1]
+    out[cut:] = x[cut:][::-1]
+    return AudioBuffer(out, audio.sample_rate)
 
 
 def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
@@ -59,7 +64,9 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
         hi = (n + 1) // 2  # first non-interior index from above (Nyquist/none)
         used = len(rows) * (hi - 1)
         bins = np.fft.rfft(rows, axis=1)
-        bins[:, 1:hi] = np.abs(bins[:, 1:hi]) * phasors[:used].reshape(len(rows), hi - 1)
+        interior = bins[:, 1:hi]
+        np.multiply(np.abs(interior), phasors[:used].reshape(len(rows), hi - 1),
+                    out=interior)
         phasors = phasors[used:]
         out.append(np.fft.irfft(bins, n=n, axis=1).ravel())
     return AudioBuffer(np.concatenate(out), audio.sample_rate)
@@ -146,12 +153,23 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
     and shorter. Factor 100 is the exact identity; factors below 100 are
     rejected (this primitive only ever drops samples), as are inf and NaN.
     The output has floor((n - 0.5) / s) + 1 samples (none for empty input).
+    The selection index is built once per (n, s) (_ts_index), so a render
+    is one gather.
     """
     s = _speedup(factor_percent)
-    n = len(audio.samples)
+    return AudioBuffer(audio.samples[_ts_index(len(audio.samples), s)], audio.sample_rate)
+
+
+# typed: a float32 factor gives a float32 s, and float32 arithmetic gives
+# other counts on long clips (33554435 samples at 150 %), so it must not
+# share the entry of an equal float64 s
+@functools.lru_cache(maxsize=4, typed=True)
+def _ts_index(n: int, s: float) -> np.ndarray:
+    """Read-only min(round(k*s), n - 1) for k = 0 .. floor((n - 0.5) / s)."""
     count = math.floor((n - 0.5) / s) + 1
     idx = np.minimum(np.round(np.arange(count) * s), n - 1).astype(np.int64)
-    return AudioBuffer(audio.samples[idx], audio.sample_rate)
+    idx.flags.writeable = False
+    return idx
 
 
 def _speedup(factor_percent: float) -> float:

@@ -6,14 +6,14 @@ filterbank. They import nothing from the package under test, so agreement
 between the two routes is evidence rather than tautology. measure_snr is
 the SNR the channel tests hold the simulator to; low_pass is the package's
 FIR design and filter composed into the low-pass the tests strip tones
-with. The per-window loops after them are the package's earlier loop
-implementations of rpg, the VAD frame energies and the VAD run finder,
-kept as references for the vectorized code, and its earlier
-direct-convolution FIR, the reference for the FFT one. The attack searches
-at the end are the package's earlier eager versions, which render the
-whole schedule before the first query; they reuse the package's renderer,
-features and types, so they pin down only the search order and the query
-accounting of the lazy versions.
+with. The per-window loops after them are tdi by its definition and the
+package's earlier loop implementations of rpg, the VAD frame energies and
+the VAD run finder, kept as references for the vectorized code, and its
+earlier direct-convolution FIR, the reference for the FFT one. The attack
+searches at the end are the package's earlier eager versions, which render
+the whole schedule before the first query; they reuse the package's
+renderer, features and types, so they pin down only the search order and
+the query accounting of the lazy versions.
 """
 
 import itertools
@@ -203,6 +203,16 @@ def low_pass(audio, cutoff_hz):
     rate = audio.sample_rate
     taps = design_lowpass(cutoff_hz, rate, lowpass_length(cutoff_hz, rate))
     return apply_fir(audio, taps)
+
+
+def tdi_loop(x, w):
+    """tdi one window at a time: each window of w samples, and the shorter
+    tail, reversed in place."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    for start in range(0, len(x), w):
+        out[start:start + w] = x[start:start + w][::-1]
+    return out
 
 
 def rpg_loop(x, w, seed):

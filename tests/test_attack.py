@@ -364,6 +364,10 @@ def test_normalize_phrase():
     # decomposed (NFD) text gives the composed words
     assert normalize_phrase(unicodedata.normalize("NFD", "Öffne die Tür")) == [
         "öffne", "die", "tür"]
+    # marks with no composed form are word characters: vowel signs and
+    # viramas, and the dot above that casefolding "İ" leaves after an "i"
+    assert normalize_phrase("नमस्ते") == ["नमस्ते"]
+    assert normalize_phrase("İstanbul") == ["i\u0307stanbul"]
 
 
 def test_word_edit_distance():
@@ -386,6 +390,7 @@ def test_phrase_matches():
     assert phrase_matches(unicodedata.normalize("NFD", "Öffne die Tür"), "Öffne die Tür",
                           max_word_edit=0)
     assert not phrase_matches("关上门", "打开门", max_word_edit=1)
+    assert not phrase_matches("हो", "है", max_word_edit=0)  # the vowel signs differ
 
 
 # --- remote backend ----------------------------------------------------------------
@@ -399,6 +404,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             {"headers": dict(self.headers), "body": body, "path": self.path})
         idx = min(len(self.server.requests) - 1, len(self.server.responses) - 1)
         status, payload = self.server.responses[idx]
+        if status is None:  # raw bytes, not even a status line
+            self.wfile.write(payload)
+            return
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -540,6 +548,27 @@ def test_remote_backend_http_error_costs_nothing(stub_server):
     with pytest.raises(BackendError):
         backend.transcribe(band_noise(85, duration_s=0.05))
     assert backend.queries_used == 0
+
+
+def test_remote_backend_malformed_response_costs_nothing(stub_server, tmp_path,
+                                                        wav_on_disk, capsys):
+    # an answer with no HTTP status line makes http.client raise
+    # BadStatusLine, which is not an OSError
+    stub_server.responses = [(None, b"garbage\r\n\r\n")]
+    backend = RemoteTranscriber(RemoteConfig(url=_url(stub_server)), "open the door")
+    with pytest.raises(BackendError, match="transport failure"):
+        backend.transcribe(band_noise(89, duration_s=0.05))
+    assert backend.queries_used == 0
+    # the CLI reports a backend error, without a traceback, and stops there
+    stub_server.requests.clear()
+    config_path = tmp_path / "stt.json"
+    config_path.write_text(json.dumps({"url": _url(stub_server)}))
+    src = wav_on_disk(band_noise(90, duration_s=0.2))
+    assert main(["attack", str(src), "--target-phrase", "open the door",
+                 "--backend", f"remote:{config_path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: transport failure") and "Traceback" not in err
+    assert len(stub_server.requests) == 1
 
 
 def test_load_remote_config(tmp_path):

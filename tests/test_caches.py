@@ -1,8 +1,8 @@
 """The per-configuration tables (band-pass taps, their spectrum, channel
 noise, Hamming window, mel filterbank, DCT rows, rpg's phasor stream,
-hfa's unit tones) are built once and cached: every cached array is
-read-only, a repeated call returns the same object, and cold and warm
-caches give the same bytes."""
+hfa's unit tones, ts's selection index) are built once and cached: every
+cached array is read-only, a repeated call returns the same object, and
+cold and warm caches give the same bytes."""
 
 import random
 from dataclasses import replace
@@ -14,7 +14,7 @@ from garble import channel, dsp, features, perturb
 from garble.audio_io import AudioBuffer, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.features import FeatureConfig, extract_features
-from garble.perturb import hfa, rpg
+from garble.perturb import hfa, rpg, ts
 from oracles import rpg_loop
 from synth import SR, random_buffer
 
@@ -28,6 +28,7 @@ CHANNELS = (PRESETS["harsh"], replace(PRESETS["harsh"], seed=5),
             ChannelConfig(band_low=300.0, band_high=3400.0, snr_db=10.0, seed=9))
 FEATURES = (FeatureConfig(), FeatureConfig(frame_ms=10.0, hop_ms=5.0,
                                            include_dct=False, n_filters=20))
+TS_FACTORS = (100.0, 150.0, 250.0)
 
 
 def clear_caches():
@@ -51,10 +52,15 @@ def feature_bytes(audio, config):
         return None
 
 
+def sped(audio, factor):
+    return ts(audio, factor).samples.tobytes()
+
+
 def outputs(cold):
-    """Aired WAVs and feature bytes for every config and input; cold clears
-    every cache before each call."""
-    calls = [(aired, c) for c in CHANNELS] + [(feature_bytes, c) for c in FEATURES]
+    """Aired WAVs, feature bytes and sped-up samples for every config and
+    input; cold clears every cache before each call."""
+    calls = ([(aired, c) for c in CHANNELS] + [(feature_bytes, c) for c in FEATURES]
+             + [(sped, f) for f in TS_FACTORS])
     out = []
     for fn, config in calls:
         for x in interleaved_inputs():
@@ -71,6 +77,7 @@ def test_cached_tables_are_read_only():
     extract_features(random_buffer(2, 24000))
     rpg(random_buffer(3, 24000), 2.0, seed=4)
     hfa(random_buffer(4, 24000), ((7500.0, 0.1),))
+    ts(random_buffer(5, 24000), 150.0)
     taps = channel._band_taps(harsh.band_low, harsh.band_high, 16000)
     size = dsp._fast_len(24000 + (len(taps) - 1) // 2)
     tables = {
@@ -82,6 +89,7 @@ def test_cached_tables_are_read_only():
         features._dct_rows: features._dct_rows(13, 26),
         perturb._phasor_stream: perturb._phasor_stream(4, 24000),
         perturb._tone: perturb._tone(7500.0, 24000, 16000),
+        perturb._ts_index: perturb._ts_index(24000, 1.5),
     }
     # every cache holds a table but _fast_len, which returns an int
     assert set(tables) == set(CACHES) - {dsp._fast_len}

@@ -516,13 +516,25 @@ def test_cli_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_import_loads_no_scipy():
-    # the package runs on numpy alone; importing scipy.fft would be most of
-    # the CLI's start-up time
+@pytest.fixture(scope="module")
+def modules_after_cli_import():
+    """The modules a fresh interpreter holds after import garble.cli."""
     env = {**os.environ, "PYTHONPATH": str(Path(garble.__file__).parents[1])}
-    code = ("import garble.cli, sys; "
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-            "assert not loaded, loaded")
+    code = "import garble.cli, sys; print(' '.join(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_scipy(modules_after_cli_import):
+    # the package runs on numpy alone; importing scipy.fft would be most of
+    # the CLI's start-up time
+    loaded = [m for m in modules_after_cli_import if m.split(".")[0] == "scipy"]
+    assert not loaded, loaded
+
+
+def test_cli_import_loads_no_http_stack(modules_after_cli_import):
+    # only the remote backend's queries use HTTP; urllib.request pulls in
+    # http.client, email and ssl, 25-55 ms of every start
+    assert not {"urllib.request", "http.client"} & modules_after_cli_import

@@ -14,7 +14,7 @@ from garble.perturb import (
     tdi_probe_schedule,
     ts,
 )
-from oracles import direct_window_mags, rpg_loop
+from oracles import direct_window_mags, rpg_loop, tdi_loop
 from synth import SR, random_buffer
 
 
@@ -48,6 +48,17 @@ def test_tdi_window_of_one_is_identity():
 def test_tdi_window_covering_buffer_reverses_everything():
     buf = random_buffer(1, 50)
     assert np.array_equal(tdi(buf, ms(64)).samples, buf.samples[::-1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 101, 160])
+def test_tdi_at_every_window_matches_the_window_loop(n):
+    """Every window from 1 to n + 2 samples: 101 at 50 leaves a one-sample
+    tail and at 33 a two-sample tail, and windows past n leave the whole
+    clip as the tail."""
+    x = random_buffer(n, n).samples
+    for w in range(1, n + 3):
+        got = tdi(AudioBuffer(x, SR), ms(w)).samples
+        assert got.tobytes() == tdi_loop(x, w).tobytes(), f"window {w}"
 
 
 # --- random phase generation -------------------------------------------------

@@ -5,7 +5,8 @@ references in oracles.py, over arbitrary lengths, windows, taps, seeds,
 schedules and budgets; check_params against the errors of apply_params;
 the channel's output range over every config and any float32 input; the
 empty clip through every transform; VAD scale covariance, the WAV and
-manifest round-trips, and read_wav on arbitrary and damaged bytes."""
+manifest round-trips, write_wav's quantization past full scale, and
+read_wav on arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -365,6 +366,19 @@ def test_wav_roundtrip_keeps_rate_length_and_level(n, seed, rate):
     assert back.sample_rate == rate and len(back) == n
     # half a 16-bit step from x clipped to the highest code, 32767 / 32768
     assert np.all(np.abs(back.samples - np.minimum(x, 32767 / 32768)) <= 0.5 / 32768 + 1e-12)
+
+
+@bounded
+@given(values=st.lists(st.floats(-4.0, 4.0), max_size=400))
+@example(values=[-4.0, -1.0, -0.5 / 32768, -0.0, 0.5 / 32768, 32767.5 / 32768, 1.0, 4.0])
+def test_write_wav_payload_is_the_clipped_rounded_samples(values):
+    # samples past full scale clip to the end codes, and the caller's
+    # samples are left as they were
+    x = np.array(values, dtype=np.float64)
+    kept = x.copy()
+    payload = write_wav(AudioBuffer(x, SR))[44:]
+    assert payload == np.clip(np.round(x * 32768), -32768, 32767).astype("<i2").tobytes()
+    assert x.tobytes() == kept.tobytes()
 
 
 @bounded
