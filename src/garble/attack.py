@@ -226,7 +226,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     rate = words[0].sample_rate
     combos = (AttackCandidate(
         params=tuple(c.params for c in combo),
-        audio=AudioBuffer(np.concatenate([c.audio.samples for c in combo]), rate),
+        audio=AudioBuffer._of_checked(  # checked samples, only rearranged
+            np.concatenate([c.audio.samples for c in combo]), rate),
         distortion_rank=rank)
         for rank, combo in enumerate(itertools.product(*per_word)))
     return _first_accepted(backend, combos)

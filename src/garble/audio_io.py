@@ -3,6 +3,13 @@
 Readable input: RIFF/WAVE, PCM 16-bit or IEEE float 32-bit, mono or stereo.
 Written output is always 16-bit PCM mono. All samples live in [-1.0, 1.0]
 as float64 once loaded; one scale, 32768, maps PCM-16 codes both ways.
+
+Every AudioBuffer holds finite samples. The public constructor scans for
+NaN and infinity; package code skips that scan (AudioBuffer._of_checked)
+only for samples already known to be finite: PCM-16 codes and float-32
+data read_wav has checked, selections and permutations of a checked
+buffer's samples, and samples whose peak dsp.renormalize has just found
+finite.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ class UnsupportedCodecError(WavFormatError):
 
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Immutable-by-convention audio: float64 samples plus a sample rate."""
+    """Immutable-by-convention audio: float64 samples plus a sample rate.
+
+    AudioBuffer(samples, rate) checks its input: one-dimensional, finite
+    samples and a positive integer rate, else ValueError. Package code
+    whose samples are already known to be finite (see the module
+    docstring) builds its buffers with _of_checked, which skips the
+    scan."""
 
     samples: np.ndarray
     sample_rate: int
@@ -42,6 +55,17 @@ class AudioBuffer:
             raise ValueError("sample_rate must be a positive integer")
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
+
+    @classmethod
+    def _of_checked(cls, samples: np.ndarray, sample_rate: int) -> AudioBuffer:
+        """A buffer over samples, with no check and no copy. The caller
+        guarantees what the constructor would check: samples is a 1-D
+        float64 ndarray whose every value is finite, and sample_rate a
+        positive int."""
+        audio = object.__new__(cls)
+        object.__setattr__(audio, "samples", samples)
+        object.__setattr__(audio, "sample_rate", sample_rate)
+        return audio
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -71,9 +95,10 @@ def read_wav(data: bytes) -> AudioBuffer:
 
     16-bit codes map to floats by division by 32768, write_wav's scale, so
     a PCM-16 mono payload re-encodes byte for byte; float32 samples are
-    taken as-is. Stereo is downmixed by averaging the channels. Anything
-    other than PCM-16/float32 in 1-2 channels raises UnsupportedCodecError;
-    structural damage raises WavFormatError.
+    taken as-is, and NaN or infinity among them raises WavFormatError, so
+    every buffer returned is finite. Stereo is downmixed by averaging the
+    channels. Anything other than PCM-16/float32 in 1-2 channels raises
+    UnsupportedCodecError; structural damage raises WavFormatError.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError("not a RIFF/WAVE stream")
@@ -114,7 +139,7 @@ def read_wav(data: bytes) -> AudioBuffer:
     if channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
-    return AudioBuffer(samples, int(sample_rate))
+    return AudioBuffer._of_checked(samples, int(sample_rate))
 
 
 def write_wav(audio: AudioBuffer) -> bytes:

@@ -132,7 +132,7 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     The config has checked its own fields; only the rules that need the
     sample rate (band_high <= Nyquist, a reverb delay of at least one
     sample and a finite count of them) are checked here, and raise
-    ValueError.
+    ValueError, as does output that overflowed (dsp.renormalize).
     """
     taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
     out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
@@ -144,8 +144,8 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
         if p_sig > 0.0 and p_noise > 0.0:  # silence gets none; never divide by 0
             out = out + noise * (math.sqrt(p_sig / p_noise) * 10.0 ** (-config.snr_db / 20.0))
 
-    out, scale = renormalize(out)
-    return AudioBuffer(out, audio.sample_rate), scale
+    out, scale = renormalize(out)  # raises on a sum that overflowed
+    return AudioBuffer._of_checked(out, audio.sample_rate), scale
 
 
 def parse_channel_config(text: str) -> ChannelConfig:

@@ -57,10 +57,15 @@ def tiles(x: np.ndarray, length: int) -> list[np.ndarray]:
     """Consecutive length-sample windows covering x, as read-only blocks
     of rows: the (n, length) view of the full windows, then the shorter
     remainder as a one-row block when there is one. The raveled blocks
-    concatenate back to x."""
-    full = frames(x, length, length)
-    tail = np.asarray(x)[None, full.size:]
-    tail.flags.writeable = False
+    concatenate back to x. The full windows are a plain reshape (a view of
+    contiguous x), which costs a fraction of frames' strided view."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    x = np.asarray(x)
+    cut = len(x) - len(x) % length  # the full windows end here
+    full = x[:cut].reshape(-1, length)
+    tail = x[None, cut:]
+    full.flags.writeable = tail.flags.writeable = False
     return [full, tail] if tail.size else [full]
 
 
@@ -68,9 +73,13 @@ def renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale x by 1/peak when it peaks past full scale; returns (x, scale).
 
     scale is 1.0 (and x is returned as is) when |x| <= 1 throughout, so the
-    caller can report every rescale instead of hard-clipping.
+    caller can report every rescale instead of hard-clipping. A NaN or
+    infinite sample makes the peak non-finite and raises ValueError, the
+    AudioBuffer constructor's error; so what it returns is finite.
     """
     peak = float(np.max(np.abs(x), initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("AudioBuffer samples must be finite")
     if peak <= 1.0:
         return x, 1.0
     scale = 1.0 / peak

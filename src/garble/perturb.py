@@ -35,13 +35,13 @@ def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
     length. Applying tdi twice with the same window is the exact identity."""
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     x = audio.samples
-    # plain reshapes, not dsp.tiles, whose strided view costs about as much
-    # to build as the copy itself on a 1 s clip
+    # tdi writes into its own output reshaped to windows, so it reads its
+    # input through the same reshape rather than through dsp.tiles' blocks
     cut = len(x) - len(x) % w  # the full windows end here
     out = np.empty(len(x))
     out[:cut].reshape(-1, w)[...] = x[:cut].reshape(-1, w)[:, ::-1]
     out[cut:] = x[cut:][::-1]
-    return AudioBuffer(out, audio.sample_rate)
+    return AudioBuffer._of_checked(out, audio.sample_rate)  # a permutation of x
 
 
 def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
@@ -101,7 +101,9 @@ def hfa(audio: AudioBuffer,
     """Add amplitude * sin(2*pi*f*n/rate) per (f, amplitude) component; the
     unit tone of each (f, length, rate) is built once (_tone). Each f must lie
     in (0, Nyquist), each amplitude be finite and >= 0, and the amplitudes
-    sum to at most 1e300, which keeps the mix finite (_check_components).
+    sum to at most 1e300, which keeps the mix finite (_check_components) on
+    any clip that peaks below 1e307; a mix that overflows anyway raises
+    ValueError (dsp.renormalize).
 
     Returns (buffer, scale). If the mix peaks past full scale the whole
     buffer is rescaled by 1/peak (scale < 1.0 reports that); samples are
@@ -111,8 +113,8 @@ def hfa(audio: AudioBuffer,
     out = audio.samples.copy()
     for freq, amp in components:
         out += amp * _tone(float(freq), len(out), audio.sample_rate)
-    out, scale = renormalize(out)
-    return AudioBuffer(out, audio.sample_rate), scale
+    out, scale = renormalize(out)  # raises on a mix that overflowed
+    return AudioBuffer._of_checked(out, audio.sample_rate), scale
 
 
 _MAX_AMPLITUDE_SUM = 1e300
@@ -152,12 +154,16 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
     The sample rate field is left alone, so the audio simply plays faster
     and shorter. Factor 100 is the exact identity; factors below 100 are
     rejected (this primitive only ever drops samples), as are inf and NaN.
+    At factor 100 the input buffer itself is returned, with no copy.
     The output has floor((n - 0.5) / s) + 1 samples (none for empty input).
     The selection index is built once per (n, s) (_ts_index), so a render
     is one gather.
     """
     s = _speedup(factor_percent)
-    return AudioBuffer(audio.samples[_ts_index(len(audio.samples), s)], audio.sample_rate)
+    if s == 1.0:
+        return audio
+    samples = audio.samples[_ts_index(len(audio.samples), s)]
+    return AudioBuffer._of_checked(samples, audio.sample_rate)  # a selection
 
 
 # typed: a float32 factor gives a float32 s, and float32 arithmetic gives

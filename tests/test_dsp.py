@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
-from garble.dsp import apply_fir, design_lowpass, frames, lowpass_length, next_pow2
+from garble.dsp import apply_fir, design_lowpass, frames, lowpass_length, next_pow2, tiles
 from oracles import low_pass, measure_snr, sine_fit_amplitude
 from synth import SR, random_buffer, sine_buffer
 
@@ -21,6 +21,8 @@ def test_frame_signal_overlap_and_validation():
         frames(x, 0, 2)
     with pytest.raises(ValueError):
         frames(x, 4, 0)
+    with pytest.raises(ValueError):  # not the ZeroDivisionError of len(x) % 0
+        tiles(x, 0)
 
 
 def test_next_pow2_table():

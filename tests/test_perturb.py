@@ -184,7 +184,8 @@ def test_hfa_multiple_components_superpose():
 
 def test_ts_identity_and_simple_decimation():
     buf = random_buffer(9, 16000)
-    assert np.array_equal(ts(buf, 100.0).samples, buf.samples)
+    assert ts(buf, 100.0) is buf  # the identity costs no gather and no buffer
+    assert apply_params(buf, PerturbationParams(ts_factor_percent=100.0)) is buf
     out = ts(buf, 200.0)
     assert np.array_equal(out.samples, buf.samples[::2])
     assert out.sample_rate == buf.sample_rate

@@ -4,9 +4,10 @@ finder and the lazy attack searches against their definitions and the
 references in oracles.py, over arbitrary lengths, windows, taps, seeds,
 schedules and budgets; check_params against the errors of apply_params;
 the channel's output range over every config and any float32 input; the
-empty clip through every transform; VAD scale covariance, the WAV and
-manifest round-trips, write_wav's quantization past full scale, and
-read_wav on arbitrary and damaged bytes."""
+empty clip, and samples anywhere in the float64 range, through every
+transform; VAD scale covariance, the WAV and manifest round-trips,
+write_wav's quantization past full scale, and read_wav on arbitrary and
+damaged bytes."""
 
 import math
 import struct
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_attack
+from garble.attack import (AttackCandidate, MockOracle, TranscriberBackend, generic_attack,
+                           improved_attack)
 from garble.audio_io import AudioBuffer, WavFormatError, canonicalize, read_wav, write_wav
 from garble.channel import PRESETS, ChannelConfig, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
@@ -53,6 +55,7 @@ def signal(n, seed):
 @bounded
 @given(n=lengths, length=st.integers(1, 600), hop=st.integers(1, 600), seed=seeds)
 @example(n=7, length=3, hop=3, seed=0)  # two full frames and a one-sample tail
+@example(n=7, length=9, hop=3, seed=0)  # a window longer than the input
 def test_frames_matches_definition(n, length, hop, seed):
     x = signal(n, seed)
     view = frames(x, length, hop)
@@ -60,13 +63,15 @@ def test_frames_matches_definition(n, length, hop, seed):
     assert view.shape == (len(want), length)
     assert all(np.array_equal(row, ref) for row, ref in zip(view, want))
     assert not view.flags.writeable
-    # tiles: full windows, then at most one shorter one-row remainder
-    blocks = tiles(x, length)
-    assert np.concatenate([b.ravel() for b in blocks]).tobytes() == x.tobytes()
-    assert len(blocks) == 1 + (n % length > 0)
-    assert blocks[0].shape == (n // length, length)
-    assert all(b.shape == (1, n % length) for b in blocks[1:])
-    assert not any(b.flags.writeable for b in blocks)
+    # tiles: full windows, then at most one shorter one-row remainder, on
+    # contiguous input and on a strided view of every other sample
+    for y in (x, signal(2 * n, seed)[::2]):
+        blocks = tiles(y, length)
+        assert np.concatenate([b.ravel() for b in blocks]).tobytes() == y.tobytes()
+        assert len(blocks) == 1 + (n % length > 0)
+        assert blocks[0].shape == (n // length, length)
+        assert all(b.shape == (1, n % length) for b in blocks[1:])
+        assert not any(b.flags.writeable for b in blocks)
 
 
 @bounded
@@ -320,6 +325,60 @@ def test_an_empty_clip_stays_empty(path):
     out = path(AudioBuffer(np.zeros(0), 48000))
     assert isinstance(out, AudioBuffer) and len(out) == 0
     assert detect_speech(out) == []
+
+
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
+class AcceptsAll(TranscriberBackend):
+    def _evaluate(self, audio):
+        return True, ""
+
+
+def concatenated(x):
+    """improved_attack's one accepted candidate over the two halves of x:
+    their tdi renders, concatenated."""
+    halves = [AudioBuffer(h, x.sample_rate) for h in np.array_split(x.samples, 2)]
+    found = improved_attack(halves, 1, AcceptsAll(), [PerturbationParams(tdi_window_ms=1.0)])
+    return found.audio
+
+
+EXTREME_PATHS = {
+    "ts": lambda x, amp: ts(x, 150.0),
+    "tdi": lambda x, amp: tdi(x, 1.0),
+    "rpg": lambda x, amp: rpg(x, 1.0, seed=3),
+    "hfa": lambda x, amp: hfa(x, ((7500.0, amp), (3000.0, amp / 2)))[0],
+    "apply_fir": lambda x, amp: apply_fir(x, HARSH_TAPS),
+    "simulate-harsh": lambda x, amp: simulate(x, PRESETS["harsh"])[0],
+    "canonicalize": lambda x, amp: canonicalize(AudioBuffer(x.samples, 48000)),
+    "apply_params": lambda x, amp: apply_params(x, PerturbationParams(
+        tdi_window_ms=1.0, rpg_window_ms=1.0, hfa_components=((7500.0, amp),),
+        ts_factor_percent=150.0)),
+    "improved_attack-concatenation": lambda x, amp: concatenated(x),
+}
+
+
+@pytest.mark.parametrize("path", EXTREME_PATHS.values(), ids=EXTREME_PATHS.keys())
+@bounded
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=200),
+       amp=st.floats(0.0, 2e300 / 3))
+@example(values=[FLOAT64_MAX] * 40, amp=2e300 / 3)
+@example(values=[FLOAT64_MAX, -FLOAT64_MAX] * 20, amp=0.0)
+@example(values=[-FLOAT64_MAX, 0.5, 1e-300, FLOAT64_MAX / 3] * 10, amp=1.0)
+def test_every_transform_returns_finite_samples_or_raises_value_error(path, values, amp):
+    # samples anywhere in the float64 range: each transform either raises
+    # ValueError or returns a buffer the public constructor would accept,
+    # whether or not it ran that constructor's scan; the overflows that
+    # lead to a ValueError warn, which is expected here
+    x = AudioBuffer(np.array(values, dtype=np.float64), SR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = path(x, amp)
+        except ValueError:
+            return
+    assert isinstance(out, AudioBuffer) and type(out.sample_rate) is int
+    assert out.samples.dtype == np.float64 and out.samples.ndim == 1
+    assert np.all(np.isfinite(out.samples))
 
 
 # --- VAD, WAV and manifest ------------------------------------------------------
