@@ -7,7 +7,6 @@ with the fields of ChannelConfig.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import apply_fir, design_lowpass, lowpass_length, renormalize
+from .dsp import apply_fir, cached_table, design_lowpass, lowpass_length, renormalize
 
 # the noise gain factor 10 ** (-snr_db / 20) is 1e154 here, so noise scaled
 # to any signal read_wav can return (up to float32 max, raised by the band
@@ -63,9 +62,9 @@ PRESETS = {
 }
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray | None:
-    """Read-only band-pass FIR from the same windowed-sinc family as
+    """Band-pass FIR from the same windowed-sinc family as
     dsp.design_lowpass, built once per (band_low, band_high, sample_rate).
 
     Built as lowpass(high) - lowpass(low) on a shared odd length (high None
@@ -84,16 +83,14 @@ def _band_taps(low: float, high: float | None, sample_rate: int) -> np.ndarray |
     taps = design_lowpass(high, sample_rate, numtaps)
     if low > 0.0:
         taps = taps - design_lowpass(low, sample_rate, numtaps)
-    taps.flags.writeable = False
     return taps
 
 
-@functools.lru_cache(maxsize=4)
+@cached_table
 def _unit_noise(seed: int, n: int) -> tuple[np.ndarray, float]:
-    """Read-only standard normal noise, n >= 1 samples from
-    default_rng(seed), and its mean power."""
+    """Standard normal noise, n >= 1 samples from default_rng(seed), and
+    its mean power."""
     noise = np.random.default_rng(seed).standard_normal(n)
-    noise.flags.writeable = False
     return noise, float(np.mean(noise ** 2))
 
 
@@ -125,9 +122,8 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     (audio, config) always produce identical output.
 
     The band-pass taps are built once per (band_low, band_high, sample
-    rate), and the unscaled noise and its power once per (seed, length);
-    both come from small caches, as does the taps' spectrum in
-    dsp.apply_fir.
+    rate), and the unscaled noise and its power once per (seed, length),
+    as is the taps' spectrum in dsp.apply_fir.
 
     The config has checked its own fields; only the rules that need the
     sample rate (band_high <= Nyquist, a reverb delay of at least one

@@ -1,5 +1,5 @@
 """Shared signal kernels: ms-to-samples conversion, framing and tiling, peak
-renormalization, FIR low-pass design and FFT filtering."""
+renormalization, FIR low-pass design, FFT filtering and the table cache."""
 
 from __future__ import annotations
 
@@ -10,6 +10,25 @@ import sys
 import numpy as np
 
 from .audio_io import AudioBuffer
+
+
+def cached_table(build):
+    """The one cache policy for per-configuration tables: build's results
+    kept in an lru_cache of 8 entries keyed by the arguments and their types
+    (a float32 argument never shares an equal float64's entry), with every
+    ndarray in a result, alone or in a tuple, made read-only before it is
+    cached. A hit stays in C and returns the same object. A cache of
+    clip-length arrays (rpg's phasors, channel noise, ts's index) holds up
+    to eight of them."""
+    @functools.lru_cache(maxsize=8, typed=True)
+    @functools.wraps(build)
+    def frozen(*args, **kwargs):
+        table = build(*args, **kwargs)
+        for array in table if isinstance(table, tuple) else (table,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        return table
+    return frozen
 
 
 def next_pow2(n: int) -> int:
@@ -90,9 +109,16 @@ def lowpass_length(cutoff_hz: float, sample_rate: int) -> int:
     """Default odd tap count for a low-pass edge at cutoff_hz.
 
     4 * fs / transition_width with the transition band spanning
-    [0.8, 1.2] * cutoff, rounded up to odd.
+    [0.8, 1.2] * cutoff, rounded up to odd. Rejects an edge so low that
+    the count is not finite or passes _MAX_WINDOW, as window_ms_to_samples
+    does for a window.
     """
-    numtaps = int(round(4.0 * sample_rate / (0.4 * cutoff_hz)))
+    width = 0.4 * cutoff_hz
+    count = 4.0 * sample_rate / width if width else math.inf
+    if not count <= _MAX_WINDOW:  # inf and NaN fail too
+        raise ValueError(f"a low-pass edge at {cutoff_hz!r} Hz needs too many "
+                         f"taps at {sample_rate} Hz")
+    numtaps = int(round(count))
     return numtaps + 1 if numtaps % 2 == 0 else numtaps
 
 
@@ -115,7 +141,7 @@ def design_lowpass(cutoff_hz: float, sample_rate: int, numtaps: int) -> np.ndarr
     return h / np.sum(h)
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer (2**a * 3**b * 5**c) >= n, an FFT size
     that np.fft transforms without falling back to a slow prime factor."""
@@ -130,13 +156,11 @@ def _fast_len(n: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def _taps_spectrum(taps_bytes: bytes, size: int) -> np.ndarray:
-    """Read-only rfft of the float64 taps (given as raw bytes) at size:
-    zero padded, or cropped when size is shorter."""
-    spec = np.fft.rfft(np.frombuffer(taps_bytes), size)
-    spec.flags.writeable = False
-    return spec
+    """rfft of the float64 taps (given as raw bytes) at size: zero padded,
+    or cropped when size is shorter."""
+    return np.fft.rfft(np.frombuffer(taps_bytes), size)
 
 
 def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
@@ -148,8 +172,8 @@ def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
     delay): the circular wrap-around then lands only in the first delay
     samples, which are cut, and the taps that a shorter FFT crops reach no
     kept sample. The taps' spectrum is built once per (taps bytes, FFT
-    size) and reused from a small cache, so repeated calls with the same
-    taps on same-length audio transform only the audio."""
+    size) (_taps_spectrum), so repeated calls with the same taps on
+    same-length audio transform only the audio."""
     taps = np.asarray(taps, dtype=np.float64)
     if taps.ndim != 1 or len(taps) % 2 == 0:
         raise ValueError("only 1-D odd-length (linear-phase, integer-delay) taps")

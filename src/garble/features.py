@@ -8,14 +8,13 @@ orthonormal DCT-II when cepstral output is wanted.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import frames, next_pow2, tiles, window_ms_to_samples
+from .dsp import cached_table, frames, next_pow2, tiles, window_ms_to_samples
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
 _LOG_FLOOR = 1e-10  # absolute floor on filterbank energies before the log
@@ -72,15 +71,14 @@ class FeatureMatrix:
         return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filters spanning 0 Hz to Nyquist, vertices equally spaced
     in mel, peak weight 1.
 
-    Returns a read-only (n_filters, fft_size//2 + 1) matrix of bin weights,
-    built once per argument triple and kept in a small cache; each row
-    rises linearly in Hz from its left vertex to its center and falls to its
-    right vertex.
+    Returns an (n_filters, fft_size//2 + 1) matrix of bin weights, built
+    once per argument triple; each row rises linearly in Hz from its left
+    vertex to its center and falls to its right vertex.
     """
     if n_filters < 1:
         raise ValueError("n_filters must be >= 1")
@@ -89,32 +87,26 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
     freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
     rise = (freqs - left) / (center - left)
     fall = (right - freqs) / (right - center)
-    bank = np.maximum(0.0, np.minimum(rise, fall))
-    bank.flags.writeable = False
-    return bank
+    return np.maximum(0.0, np.minimum(rise, fall))
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def _hamming(length: int) -> np.ndarray:
-    """Read-only np.hamming(length), built once per length."""
-    window = np.hamming(length)
-    window.flags.writeable = False
-    return window
+    """np.hamming(length), built once per length."""
+    return np.hamming(length)
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def _dct_rows(n_coeffs: int, n_filters: int) -> np.ndarray:
-    """Read-only first n_coeffs rows of the orthonormal DCT-II matrix on
-    n = n_filters points, built once per pair and kept in a small cache:
-    row k weights point i by sqrt((1 if k == 0 else 2) / n) *
-    cos(pi * k * (2i + 1) / (2n))."""
+    """First n_coeffs rows of the orthonormal DCT-II matrix on n =
+    n_filters points, built once per pair: row k weights point i by
+    sqrt((1 if k == 0 else 2) / n) * cos(pi * k * (2i + 1) / (2n))."""
     k = np.arange(n_coeffs)[:, None]
     i = np.arange(n_filters)
     # reduce the phase k * (2i + 1) mod 4 * n_filters exactly, in integers
     phase = (k * (2 * i + 1)) % (4 * n_filters)
     rows = np.cos(np.pi * phase / (2 * n_filters))
     rows *= np.where(k == 0, math.sqrt(1.0 / n_filters), math.sqrt(2.0 / n_filters))
-    rows.flags.writeable = False
     return rows
 
 
@@ -130,7 +122,7 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
     two, then |X|^2 (config.use_power) or |X|. Returns an
     (n_frames, fft_size//2 + 1) matrix, which mel_energies weights by the
     cached mel_filterbank. The Hamming window is built once per frame
-    length and comes from a small cache.
+    length (_hamming).
     """
     frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
     hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)

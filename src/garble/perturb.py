@@ -18,7 +18,6 @@ dsp.window_ms_to_samples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import renormalize, tiles, window_ms_to_samples
+from .dsp import cached_table, renormalize, tiles, window_ms_to_samples
 
 
 def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
@@ -80,9 +79,9 @@ def _checked_seed(seed) -> int:
     return seed
 
 
-@functools.lru_cache(maxsize=4)
+@cached_table
 def _phasor_stream(seed: int, n: int) -> np.ndarray:
-    """Read-only exp(1j*theta) for n // 2 uniform phases theta in [0, 2*pi)
+    """exp(1j*theta) for n // 2 uniform phases theta in [0, 2*pi)
     from default_rng(seed).
 
     A window of w samples has (w - 1) // 2 interior bins, so n // 2 phasors
@@ -91,9 +90,7 @@ def _phasor_stream(seed: int, n: int) -> np.ndarray:
     exactly what drawing window by window from default_rng(seed) gives.
     """
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n // 2)
-    phasors = np.exp(1j * theta)
-    phasors.flags.writeable = False
-    return phasors
+    return np.exp(1j * theta)
 
 
 def hfa(audio: AudioBuffer,
@@ -139,12 +136,10 @@ def _check_components(components, sample_rate: int):
         raise ValueError(f"component amplitudes sum to {total}, past {_MAX_AMPLITUDE_SUM}")
 
 
-@functools.lru_cache(maxsize=8)
+@cached_table
 def _tone(freq: float, n: int, rate: int) -> np.ndarray:
-    """Read-only sin(2*pi*freq*k/rate) for k = 0 .. n-1."""
-    tone = np.sin(2.0 * np.pi * freq * np.arange(n) / rate)
-    tone.flags.writeable = False
-    return tone
+    """sin(2*pi*freq*k/rate) for k = 0 .. n-1."""
+    return np.sin(2.0 * np.pi * freq * np.arange(n) / rate)
 
 
 def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
@@ -166,16 +161,11 @@ def ts(audio: AudioBuffer, factor_percent: float) -> AudioBuffer:
     return AudioBuffer._of_checked(samples, audio.sample_rate)  # a selection
 
 
-# typed: a float32 factor gives a float32 s, and float32 arithmetic gives
-# other counts on long clips (33554435 samples at 150 %), so it must not
-# share the entry of an equal float64 s
-@functools.lru_cache(maxsize=4, typed=True)
+@cached_table
 def _ts_index(n: int, s: float) -> np.ndarray:
-    """Read-only min(round(k*s), n - 1) for k = 0 .. floor((n - 0.5) / s)."""
+    """min(round(k*s), n - 1) for k = 0 .. floor((n - 0.5) / s)."""
     count = math.floor((n - 0.5) / s) + 1
-    idx = np.minimum(np.round(np.arange(count) * s), n - 1).astype(np.int64)
-    idx.flags.writeable = False
-    return idx
+    return np.minimum(np.round(np.arange(count) * s), n - 1).astype(np.int64)
 
 
 def _speedup(factor_percent: float) -> float:

@@ -393,6 +393,13 @@ def test_phrase_matches():
     assert not phrase_matches("हो", "है", max_word_edit=0)  # the vowel signs differ
 
 
+def test_phrase_matches_allows_two_edits_per_word_by_default():
+    assert phrase_matches("open the dxxr", "open the door")  # 2 edits in one word
+    assert phrase_matches("xpen txe dxxr", "open the door")  # 1, 1 and 2 edits
+    assert not phrase_matches("open the xxxr", "open the door")  # 3 edits
+    assert not phrase_matches("kitten", "sitting")  # 3 edits
+
+
 # --- remote backend ----------------------------------------------------------------
 
 

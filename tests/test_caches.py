@@ -1,8 +1,8 @@
-"""The per-configuration tables (band-pass taps, their spectrum, channel
-noise, Hamming window, mel filterbank, DCT rows, rpg's phasor stream,
-hfa's unit tones, ts's selection index) are built once and cached: every
-cached array is read-only, a repeated call returns the same object, and
-cold and warm caches give the same bytes."""
+"""The per-configuration tables (band-pass taps, their spectrum, the FFT
+size, channel noise, Hamming window, mel filterbank, DCT rows, rpg's phasor
+stream, hfa's unit tones, ts's selection index) are built once, each through
+dsp.cached_table: every cached array is read-only, a repeated call returns
+the same object, and cold and warm caches give the same bytes."""
 
 import random
 from dataclasses import replace
@@ -70,36 +70,51 @@ def outputs(cold):
     return out
 
 
+def built_by_cached_table(cache):
+    """Whether cache is the lru_cache that dsp.cached_table wraps around a
+    builder: the function it wraps runs the kernel's own code."""
+    probe = dsp.cached_table(lambda: None)
+    return cache.__wrapped__.__code__ is probe.__wrapped__.__code__
+
+
 def test_cached_tables_are_read_only():
     clear_caches()
-    harsh = PRESETS["harsh"]
-    simulate(random_buffer(1, 24000), harsh)
-    extract_features(random_buffer(2, 24000))
-    rpg(random_buffer(3, 24000), 2.0, seed=4)
-    hfa(random_buffer(4, 24000), ((7500.0, 0.1),))
-    ts(random_buffer(5, 24000), 150.0)
-    taps = channel._band_taps(harsh.band_low, harsh.band_high, 16000)
-    size = dsp._fast_len(24000 + (len(taps) - 1) // 2)
-    tables = {
-        channel._band_taps: taps,
-        dsp._taps_spectrum: dsp._taps_spectrum(taps.tobytes(), size),
-        channel._unit_noise: channel._unit_noise(harsh.seed, 24000)[0],
-        features.mel_filterbank: features.mel_filterbank(26, 512, 16000),
-        features._hamming: features._hamming(320),
-        features._dct_rows: features._dct_rows(13, 26),
-        perturb._phasor_stream: perturb._phasor_stream(4, 24000),
-        perturb._tone: perturb._tone(7500.0, 24000, 16000),
-        perturb._ts_index: perturb._ts_index(24000, 1.5),
-    }
-    # every cache holds a table but _fast_len, which returns an int
-    assert set(tables) == set(CACHES) - {dsp._fast_len}
-    for cache in CACHES:  # the calls above built every table fetched here
-        assert cache.cache_info().hits >= 1
-    for table in tables.values():
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 0.0
-    assert features.mel_filterbank(26, 512, 16000) is tables[features.mel_filterbank]
+    for _ in range(2):
+        simulate(random_buffer(1, 24000), PRESETS["harsh"])
+        extract_features(random_buffer(2, 24000))
+        rpg(random_buffer(3, 24000), 2.0, seed=4)
+        hfa(random_buffer(4, 24000), ((7500.0, 0.1),))
+        ts(random_buffer(5, 24000), 150.0)
+    assert len(CACHES) >= 10
+    for cache in CACHES:  # the second round of calls hit every table
+        assert cache.cache_info().hits >= 1, cache.__name__
+        assert built_by_cached_table(cache), cache.__name__
+
+
+def test_cached_table_freezes_arrays_and_keys_by_type():
+    calls = []
+
+    @dsp.cached_table
+    def table(n, scale):
+        calls.append((n, scale))
+        return np.arange(n) * scale
+
+    @dsp.cached_table
+    def pair(n):
+        return np.zeros(n), np.ones(n), float(n)
+
+    array = table(3, 1.5)
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 1.0
+    zeros, ones, n = pair(3)
+    assert not zeros.flags.writeable and not ones.flags.writeable and n == 3.0
+    assert table(3, 1.5) is array and pair(3)[0] is zeros
+    # a float32 key is its own entry, not the equal float64 one's
+    assert table(3, np.float32(1.5)) is not array
+    assert calls == [(3, 1.5), (3, np.float32(1.5))]
+    assert type(calls[1][1]) is np.float32
+    assert table.cache_info().hits == 1 and table.cache_info().misses == 2
 
 
 def test_cold_and_warm_caches_give_the_same_bytes():

@@ -339,6 +339,23 @@ def test_spectrogram_writes_pgm(tmp_path, wav_on_disk):
     assert max(rest) == 255  # the per-file peak maps to full white
 
 
+def test_spectrogram_puts_high_frequencies_on_top_over_80_db(tmp_path, wav_on_disk):
+    # 2 kHz at 0.5 and 5 kHz 40 dB down, each a whole number of cycles per
+    # 20 ms frame and on a bin of the 512-point FFT (31.25 Hz apart)
+    t = np.arange(8000) / 16000
+    x = 0.5 * np.sin(2 * np.pi * 2000 * t) + 0.005 * np.sin(2 * np.pi * 5000 * t)
+    src = wav_on_disk(AudioBuffer(x, 16000))
+    dst = tmp_path / "spec.pgm"
+    assert main(["spectrogram", str(src), str(dst)]) == 0
+    header, rest = dst.read_bytes().split(b"255\n", 1)
+    width, height = map(int, header.decode().split("\n")[1].split())
+    image = np.frombuffer(rest, np.uint8).reshape(height, width)
+    # row r from the top is bin 256 - r: 2 kHz is bin 64, 5 kHz bin 160
+    assert (np.argmax(image, axis=0) == 256 - 64).all()
+    # 40 dB down in an 80 dB range is half way: 255 * 40 / 80 = 127.5
+    assert np.all(np.abs(image[256 - 160].astype(float) - 127.5) <= 1.0)
+
+
 # --- the exit-2 contract ----------------------------------------------------------
 
 # {dir} is the test's temp directory, which holds these files, the input
@@ -352,6 +369,11 @@ CONFIG_FILES = {
     "snr-nan.cfg": "snr_db = nan\n",
     "snr-low.cfg": "snr_db = -4000\n",
     "seed-neg.cfg": "seed = -1\n",  # rejected even with no noise to draw
+    # band edges whose FIR tap count 4 * fs / (0.4 * band_low) divides by
+    # zero, overflows to inf, or passes the longest array numpy can index
+    "band-low-zero-width.cfg": "band_low = 5e-324\n",
+    "band-low-inf-taps.cfg": "band_low = 1e-310\n",
+    "band-low-too-many-taps.cfg": "band_low = 1e-300\n",
     "stt.json": '{"url": "http://localhost:9/stt"}',
     "budget-str.json": '{"url": "http://localhost:9/stt", "budget": "3"}',
     "edit-neg.json": '{"url": "http://localhost:9/stt", "max_word_edit_distance": -1}',
@@ -400,6 +422,14 @@ OVERFLOW_CASES = [
      "reverb_delay_ms too large to count"),
     ("simulate-snr", "simulate {src} {out} --channel {dir}/snr-low.cfg",
      "snr_db must be >= -3080.0 or +inf, got -4000.0"),
+    ("simulate-band-low-zero-width",
+     "simulate {src} {out} --channel {dir}/band-low-zero-width.cfg",
+     "a low-pass edge at 5e-324 Hz needs too many taps"),
+    ("simulate-band-low-inf-taps", "simulate {src} {out} --channel {dir}/band-low-inf-taps.cfg",
+     "a low-pass edge at 1e-310 Hz needs too many taps"),
+    ("simulate-band-low-too-many-taps",
+     "simulate {src} {out} --channel {dir}/band-low-too-many-taps.cfg",
+     "a low-pass edge at 1e-300 Hz needs too many taps"),
 ]
 
 EXIT_2_CASES = [

@@ -3,7 +3,7 @@ import pytest
 
 from garble.audio_io import AudioBuffer
 from garble.dsp import apply_fir, design_lowpass, frames, lowpass_length, next_pow2, tiles
-from oracles import low_pass, measure_snr, sine_fit_amplitude
+from oracles import hamming_window, low_pass, measure_snr, sine_fit_amplitude
 from synth import SR, random_buffer, sine_buffer
 
 
@@ -75,6 +75,36 @@ def test_design_lowpass_validation():
         design_lowpass(8000.1, SR, 41)
     with pytest.raises(ValueError):
         design_lowpass(1000.0, SR, numtaps=10)
+
+
+@pytest.mark.parametrize("cutoff, numtaps", [(3000.0, 53), (1000.0, 41), (7000.0, 23)])
+def test_design_lowpass_is_a_hamming_windowed_sinc(cutoff, numtaps):
+    fc = cutoff / SR
+    m = np.arange(numtaps) - (numtaps - 1) / 2
+    want = 2.0 * fc * np.sinc(2.0 * fc * m) * hamming_window(numtaps)
+    want /= np.sum(want)
+    got = design_lowpass(cutoff, SR, numtaps)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def test_lowpass_length_is_four_rates_over_the_transition_width():
+    # 4 * fs / (0.4 * cutoff) rounded, then up to odd, worked by hand
+    cases = {(100.0, 16000): 1601,     # 1600 -> 1601
+             (1000.0, 16000): 161,     # 160 -> 161
+             (3000.0, 16000): 53,      # 53.3 -> 53
+             (7000.0, 16000): 23,      # 22.86 -> 23
+             (300.0, 22050): 735,      # 735
+             (8000.0, 16000): 21,      # 20 -> 21
+             (1e-3, 16000): 160000001}
+    assert {key: lowpass_length(*key) for key in cases} == cases
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 5e-324, 1e-310, 1e-300, float("nan")])
+def test_lowpass_length_rejects_an_edge_too_low_for_any_filter(cutoff):
+    # 4 * 16000 / (0.4 * cutoff) is a division by zero, inf, or past the
+    # longest array numpy can index
+    with pytest.raises(ValueError, match=f"low-pass edge at {cutoff!r} Hz"):
+        lowpass_length(cutoff, SR)
 
 
 def test_apply_fir_rejects_even_taps():

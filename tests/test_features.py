@@ -202,6 +202,14 @@ def test_feature_distance_properties():
     assert feature_distance(b, a) == d
 
 
+def test_feature_distance_is_the_mean_per_frame_distance():
+    # per-frame Euclidean distances 0, 0 and 3: the mean is 1.0, where the
+    # median would be 0.0
+    a = FeatureMatrix(np.zeros((3, 2)), FeatureConfig(), SR)
+    b = FeatureMatrix(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]), FeatureConfig(), SR)
+    assert feature_distance(a, b) == 1.0
+
+
 def test_feature_distance_truncates_to_shorter():
     long = band_noise(29, duration_s=0.5)
     short = AudioBuffer(long.samples[:4800], SR)
