@@ -162,7 +162,14 @@ def _first_accepted(backend: TranscriberBackend, candidates):
     return ExhaustionReport(tuple(issued), backend.queries_used)
 
 
-def _require_fresh(backend: TranscriberBackend):
+def _check_search(schedule: list[PerturbationParams], rate: int,
+                  backend: TranscriberBackend):
+    """The set-up both searches check before the first query: a nonempty
+    schedule, every point valid at rate, and a backend with no spent queries."""
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
+    for params in schedule:
+        check_params(params, rate)
     if backend.queries_used != 0:
         raise ValueError("backend session already has spent queries")
 
@@ -178,11 +185,7 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
     raises ValueError), and each candidate is rendered only when a query is
     spent on it.
     """
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    for params in schedule:
-        check_params(params, source.sample_rate)
-    _require_fresh(backend)
+    _check_search(schedule, source.sample_rate, backend)
     return _first_accepted(backend, _ranked_candidates(source, schedule))
 
 
@@ -201,15 +204,12 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
         raise ValueError("words must be nonempty")
     if per_word_variants < 1:
         raise ValueError("per_word_variants must be >= 1")
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
     if len({w.sample_rate for w in words}) != 1:
         raise ValueError("words must share one sample rate")
-    for params in schedule:
-        check_params(params, words[0].sample_rate)
     if not feature_threshold >= 0:  # NaN fails too
         raise ValueError("feature_threshold must be >= 0")
-    _require_fresh(backend)
+    rate = words[0].sample_rate
+    _check_search(schedule, rate, backend)
 
     per_word: list[list[AttackCandidate]] = []
     for word in words:
@@ -223,7 +223,6 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
             raise ValueError("a word has no variants under the feature threshold")
         per_word.append(kept)
 
-    rate = words[0].sample_rate
     combos = (AttackCandidate(
         params=tuple(c.params for c in combo),
         audio=AudioBuffer._of_checked(  # checked samples, only rearranged

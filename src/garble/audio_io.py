@@ -168,7 +168,8 @@ def write_wav(audio: AudioBuffer) -> bytes:
 def canonicalize(audio: AudioBuffer) -> AudioBuffer:
     """Linear-interpolation resample to the one pipeline rate, 16 kHz: n samples
     at rate give round(n * 16000 / rate), sample k read at source position
-    k * rate / 16000, clamped to the last. 16 kHz input is returned as is.
+    k * (rate / 16000), the ratio rounded before the product, clamped to the
+    last. 16 kHz input is returned as is.
 
     No anti-alias filter runs first, so content above 8 kHz aliases into the
     band: from 48 kHz, 0.9-amplitude tones at 12 and 9 kHz come out at 4 and

@@ -82,24 +82,21 @@ def format_manifest_line(filename: str, params: PerturbationParams) -> str:
     return "\t".join(parts)
 
 
+# each manifest key: the PerturbationParams field it sets, and its parser
+_MANIFEST_KEYS = {"tdi_ms": ("tdi_window_ms", float), "rpg_ms": ("rpg_window_ms", float),
+                  "rpg_seed": ("rpg_seed", int), "hfa": ("hfa_components", parse_hfa),
+                  "ts": ("ts_factor_percent", float)}
+
+
 def parse_manifest_line(line: str) -> tuple[str, PerturbationParams]:
-    fields = line.rstrip("\n").split("\t")
-    filename = fields[0]
+    filename, *fields = line.rstrip("\n").split("\t")
     kwargs: dict = {}
-    for field in fields[1:]:
+    for field in fields:
         key, _, value = field.partition("=")
-        if key == "tdi_ms":
-            kwargs["tdi_window_ms"] = float(value)
-        elif key == "rpg_ms":
-            kwargs["rpg_window_ms"] = float(value)
-        elif key == "rpg_seed":
-            kwargs["rpg_seed"] = int(value)
-        elif key == "hfa":
-            kwargs["hfa_components"] = parse_hfa(value)
-        elif key == "ts":
-            kwargs["ts_factor_percent"] = float(value)
-        else:
+        if key not in _MANIFEST_KEYS:
             raise ValueError(f"unknown manifest key {key!r}")
+        name, parse = _MANIFEST_KEYS[key]
+        kwargs[name] = parse(value)
     return filename, PerturbationParams(**kwargs)
 
 

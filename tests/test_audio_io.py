@@ -211,6 +211,18 @@ def test_canonicalize_upsamples_8k_by_midpoints():
     assert out[-1] == src.samples[-1]
 
 
+def test_canonicalize_reads_position_k_times_the_rate_ratio():
+    # sample k is read at k * (rate / 16000), the ratio rounded first; at
+    # 44.1 kHz over 1 s the ungrouped k * rate / 16000 differs in the last
+    # bit at 3200 positions, so the bytes below tell the two apart
+    src = random_buffer(44100, 44100, sr=44100)
+    k = np.arange(CANONICAL_RATE)
+    positions = k * (44100 / CANONICAL_RATE)
+    assert np.count_nonzero(positions != k * 44100 / CANONICAL_RATE) == 3200
+    want = np.interp(positions, np.arange(44100), src.samples)
+    assert canonicalize(src).samples.tobytes() == want.tobytes()
+
+
 def test_canonicalize_preserves_tone_amplitude():
     buf = sine_buffer(1000.0, duration_s=0.5, sr=48000, amp=0.5)
     out = canonicalize(buf)

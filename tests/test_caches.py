@@ -2,7 +2,8 @@
 size, channel noise, Hamming window, mel filterbank, DCT rows, rpg's phasor
 stream, hfa's unit tones, ts's selection index) are built once, each through
 dsp.cached_table: every cached array is read-only, a repeated call returns
-the same object, and cold and warm caches give the same bytes."""
+the same object, and cold and warm caches give the same bytes, tdi and rpg
+at every window included."""
 
 import random
 from dataclasses import replace
@@ -14,8 +15,8 @@ from garble import channel, dsp, features, perturb
 from garble.audio_io import AudioBuffer, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.features import FeatureConfig, extract_features
-from garble.perturb import hfa, rpg, ts
-from oracles import rpg_loop
+from garble.perturb import hfa, rpg, tdi, ts
+from oracles import rpg_loop, tdi_loop
 from synth import SR, random_buffer
 
 # every cached function in the modules that keep tables, so a new cache is
@@ -126,19 +127,23 @@ def test_cold_and_warm_caches_give_the_same_bytes():
 
 @pytest.mark.parametrize("cold", [True, False])
 @pytest.mark.parametrize("n", [0, 1, 2, 101, 160])
-def test_rpg_at_every_window_matches_the_window_loop(n, cold):
+@pytest.mark.parametrize("transform, loop", [
+    (tdi, tdi_loop),
+    (lambda x, ms: rpg(x, ms, seed=3), lambda x, w: rpg_loop(x, w, 3)),
+], ids=["tdi", "rpg"])
+def test_every_window_matches_the_window_loop(transform, loop, n, cold):
     """Every window from 1 to n + 2 samples, in shuffled order, on one
-    (seed, n): windows of 1 and 2 samples draw nothing, 101 at 50 leaves a
-    one-sample tail and at 33 a two-sample tail (no interior bin), and
-    windows past n leave the whole clip as the tail."""
+    (seed, n): windows of 1 and 2 samples leave rpg nothing to draw, 101 at
+    50 leaves a one-sample tail and at 33 a two-sample tail (no interior
+    bin), and windows past n leave the whole clip as the tail."""
     x = random_buffer(n, n).samples
     windows = list(range(1, n + 3))
     random.Random(n).shuffle(windows)
     for w in windows:
         if cold:
             clear_caches()
-        got = rpg(AudioBuffer(x, SR), w * 1000.0 / SR, seed=3).samples
-        assert got.tobytes() == rpg_loop(x, w, 3).tobytes(), f"window {w}"
+        got = transform(AudioBuffer(x, SR), w * 1000.0 / SR).samples
+        assert got.tobytes() == loop(x, w).tobytes(), f"window {w}"
 
 
 @pytest.mark.parametrize("cold", [True, False])

@@ -14,7 +14,7 @@ from garble.perturb import (
     tdi_probe_schedule,
     ts,
 )
-from oracles import direct_window_mags, rpg_loop, tdi_loop
+from oracles import direct_window_mags, rpg_loop
 from synth import SR, random_buffer
 
 
@@ -48,17 +48,6 @@ def test_tdi_window_of_one_is_identity():
 def test_tdi_window_covering_buffer_reverses_everything():
     buf = random_buffer(1, 50)
     assert np.array_equal(tdi(buf, ms(64)).samples, buf.samples[::-1])
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 101, 160])
-def test_tdi_at_every_window_matches_the_window_loop(n):
-    """Every window from 1 to n + 2 samples: 101 at 50 leaves a one-sample
-    tail and at 33 a two-sample tail, and windows past n leave the whole
-    clip as the tail."""
-    x = random_buffer(n, n).samples
-    for w in range(1, n + 3):
-        got = tdi(AudioBuffer(x, SR), ms(w)).samples
-        assert got.tobytes() == tdi_loop(x, w).tobytes(), f"window {w}"
 
 
 # --- random phase generation -------------------------------------------------
@@ -126,15 +115,6 @@ def test_rpg_output_is_real_and_zero_stays_zero():
 # --- high-frequency addition -------------------------------------------------
 
 
-def test_hfa_adds_exact_tone():
-    buf = random_buffer(6, 1600, amp=0.3)
-    out, scale = hfa(buf, ((7500.0, 0.25),))
-    assert scale == 1.0
-    n = np.arange(1600)
-    tone = 0.25 * np.sin(2 * np.pi * 7500.0 * n / SR)
-    assert np.allclose(out.samples - buf.samples, tone, atol=1e-12)
-
-
 def test_hfa_tone_follows_the_frequency_type():
     # the tone is built in float64 from float(freq), so np.float32(7500.0)
     # gives 7500.0's bytes, not a float32-precision tone (numpy 2, NEP 50)
@@ -142,7 +122,8 @@ def test_hfa_tone_follows_the_frequency_type():
     n = np.arange(1600)
     want = buf.samples + 0.25 * np.sin(2 * np.pi * 7500.0 * n / SR)
     for freq in (7500.0, np.float32(7500.0), 7500.0):
-        out, _ = hfa(buf, ((freq, 0.25),))
+        out, scale = hfa(buf, ((freq, 0.25),))
+        assert scale == 1.0
         assert out.samples.tobytes() == want.tobytes()
 
 
@@ -168,15 +149,6 @@ def test_hfa_validation_and_empty():
         hfa(buf, ((4000.0, -0.1),))
     out, scale = hfa(buf, ())
     assert scale == 1.0 and np.array_equal(out.samples, buf.samples)
-
-
-def test_hfa_multiple_components_superpose():
-    buf = random_buffer(8, 800, amp=0.1)
-    out, _ = hfa(buf, ((6000.0, 0.1), (7000.0, 0.2)))
-    n = np.arange(800)
-    want = (0.1 * np.sin(2 * np.pi * 6000.0 * n / SR)
-            + 0.2 * np.sin(2 * np.pi * 7000.0 * n / SR))
-    assert np.allclose(out.samples - buf.samples, want, atol=1e-12)
 
 
 # --- time scaling ------------------------------------------------------------

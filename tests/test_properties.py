@@ -3,11 +3,12 @@ code, the FFT FIR and its FFT size, the band-pass length, the VAD run
 finder and the lazy attack searches against their definitions and the
 references in oracles.py, over arbitrary lengths, windows, taps, seeds,
 schedules and budgets; check_params against the errors of apply_params;
-the channel's output range over every config and any float32 input; the
-empty clip, and samples anywhere in the float64 range, through every
-transform; VAD scale covariance, the WAV and manifest round-trips,
-write_wav's quantization past full scale, and read_wav on arbitrary and
-damaged bytes."""
+the channel's output range over every config and any float32 input; one
+TRANSFORMS table of every transform, each row under three laws: an empty
+clip stays empty, samples anywhere in the float64 range give finite samples
+or ValueError, and the input's samples are left as they were; VAD scale
+covariance, the WAV and manifest round-trips, write_wav's quantization past
+full scale, and read_wav on arbitrary and damaged bytes."""
 
 import math
 import struct
@@ -301,32 +302,6 @@ def test_simulate_output_is_finite_and_in_full_scale(n, seed, peak, rate, band, 
     assert 0.0 < scale <= 1.0
 
 
-EMPTY_CLIP_PATHS = {
-    "tdi": lambda x: tdi(x, 1.0),
-    "rpg": lambda x: rpg(x, 1.0, seed=3),
-    "hfa": lambda x: hfa(x, ((7500.0, 0.1),))[0],
-    "ts": lambda x: ts(x, 150.0),
-    "apply_params": lambda x: apply_params(x, PerturbationParams(
-        tdi_window_ms=1.0, rpg_window_ms=1.0, hfa_components=((7500.0, 0.1),),
-        ts_factor_percent=150.0)),
-    "canonicalize": canonicalize,
-    "wav-roundtrip": lambda x: read_wav(write_wav(x)),
-    "apply_fir": lambda x: apply_fir(x, HARSH_TAPS),
-    "apply_fir-1-tap": lambda x: apply_fir(x, np.ones(1)),
-    "simulate-transparent": lambda x: simulate(x, PRESETS["transparent"])[0],
-    "simulate-harsh": lambda x: simulate(x, PRESETS["harsh"])[0],
-}
-
-
-@pytest.mark.parametrize("path", EMPTY_CLIP_PATHS.values(), ids=EMPTY_CLIP_PATHS.keys())
-def test_an_empty_clip_stays_empty(path):
-    # each transform's general rule gives an empty clip for an empty one,
-    # and the VAD finds no speech in it
-    out = path(AudioBuffer(np.zeros(0), 48000))
-    assert isinstance(out, AudioBuffer) and len(out) == 0
-    assert detect_speech(out) == []
-
-
 FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
@@ -343,22 +318,47 @@ def concatenated(x):
     return found.audio
 
 
-EXTREME_PATHS = {
-    "ts": lambda x, amp: ts(x, 150.0),
+# every transform of the package, as (audio, amp) -> AudioBuffer, where amp
+# is an hfa tone amplitude; each whole-package law below runs on every row
+TRANSFORMS = {
     "tdi": lambda x, amp: tdi(x, 1.0),
     "rpg": lambda x, amp: rpg(x, 1.0, seed=3),
     "hfa": lambda x, amp: hfa(x, ((7500.0, amp), (3000.0, amp / 2)))[0],
-    "apply_fir": lambda x, amp: apply_fir(x, HARSH_TAPS),
-    "simulate-harsh": lambda x, amp: simulate(x, PRESETS["harsh"])[0],
-    "canonicalize": lambda x, amp: canonicalize(AudioBuffer(x.samples, 48000)),
+    "ts": lambda x, amp: ts(x, 150.0),
     "apply_params": lambda x, amp: apply_params(x, PerturbationParams(
         tdi_window_ms=1.0, rpg_window_ms=1.0, hfa_components=((7500.0, amp),),
         ts_factor_percent=150.0)),
+    "canonicalize": lambda x, amp: canonicalize(AudioBuffer(x.samples, 48000)),
+    "wav-roundtrip": lambda x, amp: read_wav(write_wav(x)),
+    "apply_fir": lambda x, amp: apply_fir(x, HARSH_TAPS),
+    "apply_fir-1-tap": lambda x, amp: apply_fir(x, np.ones(1)),
+    "simulate-transparent": lambda x, amp: simulate(x, PRESETS["transparent"])[0],
+    "simulate-harsh": lambda x, amp: simulate(x, PRESETS["harsh"])[0],
     "improved_attack-concatenation": lambda x, amp: concatenated(x),
 }
+every_transform = pytest.mark.parametrize("path", TRANSFORMS.values(), ids=TRANSFORMS.keys())
 
 
-@pytest.mark.parametrize("path", EXTREME_PATHS.values(), ids=EXTREME_PATHS.keys())
+@every_transform
+def test_an_empty_clip_stays_empty(path):
+    # each transform's general rule gives an empty clip for an empty one,
+    # and the VAD finds no speech in it
+    out = path(AudioBuffer(np.zeros(0), 48000), 0.1)
+    assert isinstance(out, AudioBuffer) and len(out) == 0
+    assert detect_speech(out) == []
+
+
+@every_transform
+def test_no_transform_writes_into_its_input(path):
+    # buffers are immutable by convention, and a transform may return its
+    # input itself, so the input's samples must come back as they went in
+    x = AudioBuffer(0.5 * signal(1600, 23), SR)
+    kept = x.samples.copy()
+    path(x, 0.1)
+    assert x.samples.tobytes() == kept.tobytes()
+
+
+@every_transform
 @bounded
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=200),
        amp=st.floats(0.0, 2e300 / 3))
