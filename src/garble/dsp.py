@@ -180,7 +180,8 @@ def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
     n = len(audio.samples)
     delay = (len(taps) - 1) // 2
     size = _fast_len(n + delay)
-    product = np.fft.rfft(audio.samples, size) * _taps_spectrum(taps.tobytes(), size)
+    product = np.fft.rfft(audio.samples, size)
+    product *= _taps_spectrum(taps.tobytes(), size)
     full = np.fft.irfft(product, size)
     return AudioBuffer(full[delay:delay + n], audio.sample_rate)
 

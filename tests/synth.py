@@ -1,4 +1,7 @@
-"""Deterministic signal builders shared across the test modules."""
+"""Deterministic signal builders, and the traced memory peak of a call,
+shared across the test modules."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -59,3 +62,20 @@ def sine_buffer(freq_hz, duration_s=1.0, sr=SR, amp=0.5, phase=0.0):
 def random_buffer(seed, n, sr=SR, amp=0.35):
     rng = np.random.default_rng(seed)
     return AudioBuffer(rng.uniform(-amp, amp, n), sr)
+
+
+# numpy < 2 zero-pads an FFT's input to the transform length in a new array
+# before the transform (np.fft's _raw_fft); numpy 2 pads inside it
+FFT_PADS_INPUT = np.lib.NumpyVersion(np.__version__) < "2.0.0"
+
+
+def warm_peak_bytes(call, *args):
+    """Peak bytes tracemalloc sees allocated during call(*args), measured on
+    a second call, so that tables the first call caches are not counted."""
+    call(*args)
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -8,12 +8,14 @@ from garble.audio_io import AudioBuffer
 from garble.channel import (
     PRESETS,
     ChannelConfig,
+    _band_taps,
     parse_channel_config,
     resolve_channel,
     simulate,
 )
+from garble.dsp import _fast_len
 from oracles import measure_snr, sine_fit_amplitude
-from synth import SR, band_noise, random_buffer, sine_buffer
+from synth import FFT_PADS_INPUT, SR, band_noise, random_buffer, sine_buffer, warm_peak_bytes
 
 
 def test_transparent_preset_is_exact_identity():
@@ -169,6 +171,30 @@ def test_lowest_snr_on_a_loud_reverberant_clip_stays_finite():
     assert len(out) == SR and np.all(np.isfinite(out.samples))
     assert scale < 1.0 and np.max(np.abs(out.samples)) <= 1.0
     assert np.std(out.samples) > 0.1  # what is left is the noise
+
+
+def test_harsh_simulate_peak_is_its_largest_phase():
+    # 6 s at 16 kHz through the 1601-tap band-pass: the FFT size is
+    # _fast_len(n + 800) = 97200, and one real array of that size is `fft`
+    # bytes. What is live at the two largest phases, plus 16 KiB for the
+    # array objects and small temporaries:
+    # - the reverb: apply_fir's output, held whole by the view simulate
+    #   keeps, the reverb's copy of the clip and one scaled tap (a clip at
+    #   most);
+    # - the inverse FFT: the product (FFT size // 2 + 1 complex values, one
+    #   fft array and 16 bytes) and the real output, and on numpy < 2 also
+    #   the product zero-padded to the FFT size in complex (two fft arrays).
+    # Measured: 3.01x the clip's bytes with numpy 2.4 (the reverb), and
+    # 4.05x (the inverse FFT) with np.fft padding its input as numpy 1.24's
+    # does.
+    audio = random_buffer(6, 6 * SR)
+    clip = audio.samples.nbytes
+    harsh = PRESETS["harsh"]
+    taps = _band_taps(harsh.band_low, harsh.band_high, SR)
+    fft = 8 * _fast_len(len(audio) + (len(taps) - 1) // 2)
+    reverb = fft + 2 * clip
+    inverse = 2 * fft + (2 * fft if FFT_PADS_INPUT else 0)
+    assert warm_peak_bytes(simulate, audio, harsh) <= max(reverb, inverse) + 16 * 1024
 
 
 def test_parse_channel_config_roundtrip():

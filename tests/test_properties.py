@@ -6,7 +6,8 @@ schedules and budgets; check_params against the errors of apply_params;
 the channel's output range over every config and any float32 input; one
 TRANSFORMS table of every transform, each row under three laws: an empty
 clip stays empty, samples anywhere in the float64 range give finite samples
-or ValueError, and the input's samples are left as they were; VAD scale
+or ValueError, and the input's samples are left as they were; the blocked
+feature spectrum and features against the one-shot STFT; VAD scale
 covariance, the WAV and manifest round-trips, write_wav's quantization past
 full scale, and read_wav on arbitrary and damaged bytes."""
 
@@ -28,7 +29,8 @@ from garble.channel import PRESETS, ChannelConfig, _band_taps, simulate
 from garble.cli import format_manifest_line, parse_manifest_line
 from garble.dsp import (_fast_len, apply_fir, frames, lowpass_length, tiles,
                         window_ms_to_samples)
-from garble.features import extract_features, feature_distance
+from garble.features import (_BLOCK_FRAMES, _LOG_FLOOR, FeatureConfig, _dct_rows,
+                             extract_features, feature_distance, mel_filterbank, spectrum)
 from garble.perturb import PerturbationParams, apply_params, check_params, hfa, rpg, tdi, ts
 from garble.vad import detect_speech, frame_energies
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     generic_attack_eager,
     improved_attack_eager,
     rpg_loop,
+    stft_one_shot,
     vad_energies_loop,
 )
 from synth import SR, band_noise
@@ -379,6 +382,39 @@ def test_every_transform_returns_finite_samples_or_raises_value_error(path, valu
     assert isinstance(out, AudioBuffer) and type(out.sample_rate) is int
     assert out.samples.dtype == np.float64 and out.samples.ndim == 1
     assert np.all(np.isfinite(out.samples))
+
+
+# --- the blocked feature spectrum against the one-shot STFT ---------------------
+
+# frame counts around the block size: one frame, a frame short of a block,
+# one block, a block and a frame, and three blocks and a one-frame tail;
+# spare % hop samples past the last frame start no further frame
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rate=st.sampled_from((8000, 16000, 44100)),
+       n_frames=st.sampled_from((1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1,
+                                 3 * _BLOCK_FRAMES + 1)),
+       spare=st.integers(0, 440), seed=seeds,
+       window=st.sampled_from(("hamming", "rectangular")), use_power=st.booleans(),
+       pre_emphasis=st.sampled_from((0.0, 0.97)), include_dct=st.booleans())
+def test_blocked_spectrum_and_features_match_the_one_shot_stft(
+        rate, n_frames, spare, seed, window, use_power, pre_emphasis, include_dct):
+    config = FeatureConfig(analysis_window=window, use_power=use_power,
+                           pre_emphasis=pre_emphasis, include_dct=include_dct)
+    frame_len = window_ms_to_samples(config.frame_ms, rate)
+    hop = window_ms_to_samples(config.hop_ms, rate)
+    x = signal(frame_len + (n_frames - 1) * hop + spare % hop, seed)
+    audio = AudioBuffer(x, rate)
+    want = stft_one_shot(x, rate, window=window, use_power=use_power,
+                         pre_emphasis=pre_emphasis)
+    got = spectrum(audio, config)
+    assert got.shape == want.shape == (n_frames, want.shape[1])
+    assert got.tobytes() == want.tobytes()
+    # the rest of the pipeline, as one product over the whole one-shot matrix
+    bank = mel_filterbank(config.n_filters, 2 * (want.shape[1] - 1), rate)
+    rows = np.log(np.maximum(want @ bank.T, _LOG_FLOOR))
+    if include_dct:
+        rows = rows @ _dct_rows(config.n_coefficients, config.n_filters).T
+    assert extract_features(audio, config).data.tobytes() == rows.tobytes()
 
 
 # --- VAD, WAV and manifest ------------------------------------------------------
