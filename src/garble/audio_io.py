@@ -125,7 +125,8 @@ def read_wav(data: bytes) -> AudioBuffer:
 
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / _PCM_FULL_SCALE
+        samples = raw.astype(np.float64)
+        samples /= _PCM_FULL_SCALE
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         if not np.all(np.isfinite(raw)):  # before the cast, which warns on signalling NaN
@@ -171,14 +172,33 @@ def canonicalize(audio: AudioBuffer) -> AudioBuffer:
     k * (rate / 16000), the ratio rounded before the product, clamped to the
     last. 16 kHz input is returned as is.
 
+    The output's bytes are np.interp's. Its arithmetic, y[j] + (y[j+1] -
+    y[j]) * fraction, runs over a plan built once per (n, rate)
+    (dsp._resample_plan): each output's left sample, fraction and whether
+    it interpolates at all. Whole-sample positions and the clamped tail
+    keep y[j] itself, signed zeros included, so from 48 kHz the resample
+    is one gather. A cached plan holds 17 bytes per output sample, 8 when
+    no output interpolates, and the cache keeps up to 8 plans. Near the
+    float64 maximum the difference can overflow: the public constructor's
+    scan then raises ValueError, with no warning, as after np.interp.
+
     No anti-alias filter runs first, so content above 8 kHz aliases into the
     band: from 48 kHz, 0.9-amplitude tones at 12 and 9 kHz come out at 4 and
     7 kHz at full level. A band-limited resampler is ROADMAP item 4."""
     if audio.sample_rate == CANONICAL_RATE:
         return audio
-    n_out = int(round(len(audio.samples) * CANONICAL_RATE / audio.sample_rate))
-    if n_out == 0:  # empty input included
-        return AudioBuffer(np.zeros(0), CANONICAL_RATE)
-    positions = np.arange(n_out) * (audio.sample_rate / CANONICAL_RATE)
-    out = np.interp(positions, np.arange(len(audio.samples)), audio.samples)
+    from . import dsp  # dsp imports this module
+
+    x = audio.samples
+    lo, frac, mask = dsp._resample_plan(len(x), audio.sample_rate)
+    out = x[lo]
+    if mask is not None:
+        head = out[:len(mask)]  # the outputs before the last sample
+        step = x[1:][lo[:len(mask)]]  # x[lo + 1]
+        # an overflow leaves inf for the scan below, and a masked-off output
+        # may compute inf * 0; neither warns, as neither does in np.interp
+        with np.errstate(over="ignore", invalid="ignore"):
+            step -= head
+            step *= frac
+        np.add(head, step, out=head, where=mask)
     return AudioBuffer(out, CANONICAL_RATE)

@@ -1,5 +1,6 @@
 """Shared signal kernels: ms-to-samples conversion, framing and tiling, peak
-renormalization, FIR low-pass design, FFT filtering and the table cache."""
+renormalization, FIR low-pass design, FFT filtering, the resample plan and
+the table cache."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import CANONICAL_RATE, AudioBuffer
 
 
 def cached_table(build):
@@ -185,3 +186,21 @@ def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
     full = np.fft.irfft(product, size)
     return AudioBuffer(full[delay:delay + n], audio.sample_rate)
 
+
+@cached_table
+def _resample_plan(n: int, rate: int) -> tuple:
+    """audio_io.canonicalize's plan for n samples at rate. Output k sits at
+    position k * (rate / 16000); the plan holds its left sample, clamped to
+    the last, and for the outputs before the last sample their fraction
+    past the left one and the mask of those that interpolate (fraction
+    nonzero). Fraction and mask are None when no output interpolates, as
+    from 32, 48 and 96 kHz, where every position is a whole sample."""
+    n_out = round(n * CANONICAL_RATE / rate)
+    positions = np.arange(n_out) * (rate / CANONICAL_RATE)
+    lo = np.minimum(positions, n - 1).astype(np.intp)  # floor: positions >= 0
+    head = np.searchsorted(positions, n - 1)  # outputs before the last sample
+    frac = positions[:head] - lo[:head]
+    mask = frac != 0.0
+    if not mask.any():
+        return lo, None, None
+    return lo, frac, mask

@@ -11,8 +11,9 @@ is the package's FIR design and filter composed into the low-pass the
 tests strip tones with. The per-window loops after them are tdi by its
 definition and the package's earlier loop implementations of rpg, the VAD
 frame energies and the VAD run finder, kept as references for the
-vectorized code, and its earlier direct-convolution FIR, the reference for
-the FFT one. The attack searches at the end are the package's earlier
+vectorized code, its earlier direct-convolution FIR, the reference for
+the FFT one, and canonicalize's earlier np.interp body, the reference for
+its cached plan. The attack searches at the end are the package's earlier
 eager versions, which render the whole schedule before the first query;
 they reuse the package's renderer, features and types, so they pin down
 only the search order and the query accounting of the lazy versions.
@@ -312,6 +313,19 @@ def apply_fir_direct(audio, taps):
     full = np.convolve(audio.samples, taps)
     delay = (numtaps - 1) // 2
     return AudioBuffer(full[delay:delay + len(audio.samples)], audio.sample_rate)
+
+
+def resample_interp(audio):
+    """audio_io.canonicalize by np.interp: round(n * 16000 / rate) outputs,
+    output k read at k * (rate / 16000), clamped to the last sample, then
+    the public constructor, which raises ValueError on an overflow."""
+    rate = audio.sample_rate
+    n_out = int(round(len(audio.samples) * 16000 / rate))
+    if n_out == 0:
+        return AudioBuffer(np.zeros(0), 16000)
+    positions = np.arange(n_out) * (rate / 16000)
+    return AudioBuffer(np.interp(positions, np.arange(len(audio.samples)), audio.samples),
+                       16000)
 
 
 def _rank_eager(audio, schedule):

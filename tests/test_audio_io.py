@@ -1,3 +1,4 @@
+import platform
 import struct
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from garble import dsp
 from garble.audio_io import (
     CANONICAL_RATE,
     AudioBuffer,
@@ -15,7 +17,7 @@ from garble.audio_io import (
     read_wav,
     write_wav,
 )
-from oracles import sine_fit_amplitude
+from oracles import resample_interp, sine_fit_amplitude
 from synth import random_buffer, sine_buffer
 
 
@@ -189,6 +191,54 @@ def test_resample_length_law(n, rate, seed):
     out = canonicalize(buf)
     assert out.sample_rate == CANONICAL_RATE
     assert len(out) == round(n * CANONICAL_RATE / rate)
+
+
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
+def resampled_or_error(audio, resample):
+    try:
+        return resample(audio).samples.tobytes()
+    except ValueError:
+        return ValueError
+
+
+# the rates a recording comes at, and two next to 16 kHz, which have no
+# whole-sample position past the first
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3000),
+       rate=st.sampled_from((8000, 11025, 22050, 32000, 44100, 48000, 96000, 15999, 16001)),
+       seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from((0.0, 0.5, 1.0)),
+       scale=st.sampled_from((1.0, FLOAT64_MAX)))
+@example(n=1, rate=8000, seed=0, zeros=1.0, scale=1.0)
+@example(n=441 * 3 + 1, rate=44100, seed=1, zeros=0.5, scale=1.0)
+@example(n=3000, rate=44100, seed=2, zeros=0.0, scale=FLOAT64_MAX)
+def test_canonicalize_bytes_are_np_interp_s(n, rate, seed, zeros, scale):
+    # a share `zeros` of the samples are +0.0 or -0.0: np.interp keeps
+    # y[j], sign included, at whole-sample positions and the clamped tail
+    # (past the last sample, below 16 kHz), and interpolates the rest;
+    # near the float64 maximum the differences overflow, and then both
+    # sides raise ValueError
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n) * scale
+    signed = rng.random(n) < zeros
+    x[signed] = np.copysign(0.0, rng.uniform(-1.0, 1.0, np.count_nonzero(signed)))
+    audio = AudioBuffer(x, rate)
+    want = resampled_or_error(audio, resample_interp)
+    dsp._resample_plan.cache_clear()
+    for plan in ("cold", "warm"):
+        assert resampled_or_error(audio, canonicalize) == want, (
+            f"{plan} plan differs from np.interp on {platform.machine()} "
+            f"{platform.system()}, numpy {np.__version__}")
+
+
+@pytest.mark.parametrize("rate", [11025, 44100])
+def test_canonicalize_raises_value_error_where_np_interp_overflows(rate):
+    audio = AudioBuffer(np.resize([FLOAT64_MAX, -FLOAT64_MAX], 1000), rate)
+    with pytest.raises(ValueError):
+        resample_interp(audio)
+    with pytest.raises(ValueError):
+        canonicalize(audio)
 
 
 def test_resample_identity_same_rate():

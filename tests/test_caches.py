@@ -1,9 +1,9 @@
 """The per-configuration tables (band-pass taps, their spectrum, the FFT
 size, channel noise, Hamming window, mel filterbank, DCT rows, rpg's phasor
-stream, hfa's unit tones, ts's selection index) are built once, each through
-dsp.cached_table: every cached array is read-only, a repeated call returns
-the same object, and cold and warm caches give the same bytes, tdi and rpg
-at every window included."""
+stream, hfa's unit tones, ts's selection index, canonicalize's resample
+plan) are built once, each through dsp.cached_table: every cached array is
+read-only, a repeated call returns the same object, and cold and warm caches
+give the same bytes, tdi and rpg at every window included."""
 
 import random
 from dataclasses import replace
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from garble import channel, dsp, features, perturb
-from garble.audio_io import AudioBuffer, write_wav
+from garble.audio_io import AudioBuffer, canonicalize, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.features import FeatureConfig, extract_features
 from garble.perturb import hfa, rpg, tdi, ts
@@ -30,6 +30,7 @@ CHANNELS = (PRESETS["harsh"], replace(PRESETS["harsh"], seed=5),
 FEATURES = (FeatureConfig(), FeatureConfig(frame_ms=10.0, hop_ms=5.0,
                                            include_dct=False, n_filters=20))
 TS_FACTORS = (100.0, 150.0, 250.0)
+RESAMPLE_RATES = (8000, 44100, 48000)
 
 
 def clear_caches():
@@ -57,11 +58,16 @@ def sped(audio, factor):
     return ts(audio, factor).samples.tobytes()
 
 
+def resampled(audio, rate):
+    """The samples read as if at rate, resampled to 16 kHz."""
+    return canonicalize(AudioBuffer(audio.samples, rate)).samples.tobytes()
+
+
 def outputs(cold):
-    """Aired WAVs, feature bytes and sped-up samples for every config and
-    input; cold clears every cache before each call."""
+    """Aired WAVs, feature bytes, sped-up and resampled samples for every
+    config and input; cold clears every cache before each call."""
     calls = ([(aired, c) for c in CHANNELS] + [(feature_bytes, c) for c in FEATURES]
-             + [(sped, f) for f in TS_FACTORS])
+             + [(sped, f) for f in TS_FACTORS] + [(resampled, r) for r in RESAMPLE_RATES])
     out = []
     for fn, config in calls:
         for x in interleaved_inputs():
@@ -86,10 +92,15 @@ def test_cached_tables_are_read_only():
         rpg(random_buffer(3, 24000), 2.0, seed=4)
         hfa(random_buffer(4, 24000), ((7500.0, 0.1),))
         ts(random_buffer(5, 24000), 150.0)
-    assert len(CACHES) >= 10
+        canonicalize(random_buffer(6, 24000, sr=22050))
+        canonicalize(random_buffer(7, 24000, sr=48000))
+    assert len(CACHES) >= 11
     for cache in CACHES:  # the second round of calls hit every table
         assert cache.cache_info().hits >= 1, cache.__name__
         assert built_by_cached_table(cache), cache.__name__
+    for rate in (22050, 48000):  # no fraction or mask at 48 kHz: None in their place
+        plan = [array for array in dsp._resample_plan(24000, rate) if array is not None]
+        assert plan and not any(array.flags.writeable for array in plan)
 
 
 def test_cached_table_freezes_arrays_and_keys_by_type():
