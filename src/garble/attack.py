@@ -52,11 +52,23 @@ class AttackCandidate:
     verdict: TranscriberVerdict | None = None
 
 
+@dataclass(frozen=True)
+class QueryRecord:
+    """One rejected query without its audio: a render is a pure function of
+    (source, params), so apply_params re-renders it byte for byte (for a
+    concatenated candidate, each word's params in turn)."""
+
+    params: PerturbationParams | tuple[PerturbationParams, ...]
+    distortion_rank: int
+    verdict: TranscriberVerdict
+
+
 @dataclass(frozen=True, eq=False)
 class ExhaustionReport:
-    """No candidate was accepted; carries exactly the verdicts issued."""
+    """No candidate was accepted; carries exactly the verdicts issued, one
+    QueryRecord per query in query order, and no rendered audio."""
 
-    candidates: tuple[AttackCandidate, ...]
+    candidates: tuple[QueryRecord, ...]
     queries_used: int
 
 
@@ -151,14 +163,16 @@ def _first_accepted(backend: TranscriberBackend, candidates):
 
     A candidate is drawn only when a query is left to spend on it: every
     transcribe() spends exactly one query or raises, so the budget left on
-    entry bounds the draws.
+    entry bounds the draws. A rejected candidate is kept as a QueryRecord
+    and its audio dropped, so at most two renders are alive at once: the
+    candidate last judged and the one being drawn.
     """
     issued = []
     for cand in itertools.islice(candidates, backend.queries_remaining):
-        cand = replace(cand, verdict=backend.transcribe(cand.audio))
-        issued.append(cand)
-        if cand.verdict.accepted:
-            return cand
+        verdict = backend.transcribe(cand.audio)
+        if verdict.accepted:
+            return replace(cand, verdict=verdict)
+        issued.append(QueryRecord(cand.params, cand.distortion_rank, verdict))
     return ExhaustionReport(tuple(issued), backend.queries_used)
 
 
@@ -183,7 +197,8 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
     of budget mid-schedule is a normal outcome here, not an exception. Every
     point is checked at the source's rate before the first query (a bad one
     raises ValueError), and each candidate is rendered only when a query is
-    spent on it.
+    spent on it. The report keeps a QueryRecord per query, not the audio,
+    so the search holds no more than two renders at any budget.
     """
     _check_search(schedule, source.sample_rate, backend)
     return _first_accepted(backend, _ranked_candidates(source, schedule))
@@ -199,6 +214,8 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     per-word distortion rank. Same return contract as generic_attack, and
     every point is checked before the first query, rendered or not.
     feature_threshold must be >= 0; the default +inf keeps every variant.
+    Beside the n*k kept variants, the query loop holds at most two
+    concatenations, as generic_attack holds two renders.
     """
     if not words:
         raise ValueError("words must be nonempty")

@@ -106,21 +106,27 @@ def renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
     return x * scale, scale
 
 
+# the most taps lowpass_length gives: 128 MiB of float64 taps, and a
+# filter design and FFT size that fit in memory
+_MAX_TAPS = 2**24
+
+
 def lowpass_length(cutoff_hz: float, sample_rate: int) -> int:
     """Default odd tap count for a low-pass edge at cutoff_hz.
 
     4 * fs / transition_width with the transition band spanning
-    [0.8, 1.2] * cutoff, rounded up to odd. Rejects an edge so low that
-    the count is not finite or passes _MAX_WINDOW, as window_ms_to_samples
-    does for a window.
+    [0.8, 1.2] * cutoff, rounded, then up to odd. Rejects an edge so low
+    that the count is not finite or passes _MAX_TAPS (2**24), which is an
+    edge below about 0.0095 Hz at 16 kHz and 0.029 Hz at 48 kHz.
     """
     width = 0.4 * cutoff_hz
     count = 4.0 * sample_rate / width if width else math.inf
-    if not count <= _MAX_WINDOW:  # inf and NaN fail too
+    # inf and NaN stay past the cap; an even count rounds up to odd
+    numtaps = round(count) | 1 if count <= _MAX_TAPS else math.inf
+    if numtaps > _MAX_TAPS:
         raise ValueError(f"a low-pass edge at {cutoff_hz!r} Hz needs too many "
                          f"taps at {sample_rate} Hz")
-    numtaps = int(round(count))
-    return numtaps + 1 if numtaps % 2 == 0 else numtaps
+    return numtaps
 
 
 def design_lowpass(cutoff_hz: float, sample_rate: int, numtaps: int) -> np.ndarray:

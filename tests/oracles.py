@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from garble.attack import AttackCandidate, ExhaustionReport, distortion_key
+from garble.attack import AttackCandidate, ExhaustionReport, QueryRecord, distortion_key
 from garble import vad
 from garble.audio_io import AudioBuffer
 from garble.dsp import apply_fir, design_lowpass, lowpass_length, window_ms_to_samples
@@ -341,10 +341,10 @@ def _query_eager(backend, candidates):
     for cand in candidates:
         if backend.queries_remaining == 0:
             break
-        cand = replace(cand, verdict=backend.transcribe(cand.audio))
-        issued.append(cand)
-        if cand.verdict.accepted:
-            return cand
+        verdict = backend.transcribe(cand.audio)
+        if verdict.accepted:
+            return replace(cand, verdict=verdict)
+        issued.append(QueryRecord(cand.params, cand.distortion_rank, verdict))
     return ExhaustionReport(tuple(issued), backend.queries_used)
 
 

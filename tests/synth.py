@@ -1,11 +1,13 @@
-"""Deterministic signal builders, and the traced memory peak of a call,
-shared across the test modules."""
+"""Deterministic signal builders, the traced memory peak of a call and
+extract_features' bound on it, shared across the test modules."""
 
 import tracemalloc
 
 import numpy as np
 
 from garble.audio_io import AudioBuffer
+from garble.dsp import next_pow2
+from garble.features import _BLOCK_FRAMES
 
 SR = 16000
 
@@ -79,3 +81,17 @@ def warm_peak_bytes(call, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def features_peak_bound(n_frames, frame_len=320):
+    """The most extract_features may allocate on n_frames frames of
+    frame_len samples (the default config: 20 ms at 16 kHz). The frames are
+    transformed _BLOCK_FRAMES at a time, so beyond the (n_frames, bins)
+    power matrix only one block is live: its windowed frames, their complex
+    spectrum and, on numpy < 2, their copy zero-padded to the FFT size, plus
+    16 KiB for the array objects around them."""
+    fft_size = next_pow2(frame_len)
+    bins = fft_size // 2 + 1
+    padded = fft_size if FFT_PADS_INPUT else 0
+    block = _BLOCK_FRAMES * (frame_len + padded + 2 * bins) * 8
+    return n_frames * bins * 8 + block + 16 * 1024

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import threading
@@ -14,6 +15,7 @@ from garble.attack import (
     BudgetExceededError,
     ExhaustionReport,
     MockOracle,
+    QueryRecord,
     RemoteConfig,
     RemoteTranscriber,
     TranscriberVerdict,
@@ -29,7 +31,7 @@ from garble.audio_io import AudioBuffer, read_wav
 from garble.cli import main
 from garble.features import has_frames
 from garble.perturb import PerturbationParams, apply_params, tdi_probe_schedule
-from synth import band_noise, random_buffer
+from synth import SR, band_noise, features_peak_bound, random_buffer, warm_peak_bytes
 
 
 # --- budget bookkeeping -------------------------------------------------------
@@ -153,10 +155,49 @@ def test_generic_attack_spends_a_query_on_audio_shorter_than_a_frame():
                             [PerturbationParams(ts_factor_percent=400.0)])
     assert isinstance(result, ExhaustionReport) and result.queries_used == 1
     (cand,) = result.candidates
-    assert len(cand.audio) == 125
+    assert len(apply_params(ref, cand.params)) == 125
     assert cand.verdict == TranscriberVerdict(False, "", 1)
     with pytest.raises(ValueError):
-        backend.distance_to_reference(cand.audio)
+        backend.distance_to_reference(apply_params(ref, cand.params))
+
+
+def audio_reachable(value) -> bool:
+    """Whether an AudioBuffer or a sample array can be reached from value
+    through dataclass fields, tuples and lists."""
+    if isinstance(value, (AudioBuffer, np.ndarray)):
+        return True
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return isinstance(value, (tuple, list)) and any(map(audio_reachable, value))
+
+
+def test_an_exhaustion_report_holds_no_audio():
+    # one QueryRecord per query: its params re-render the audio, so the
+    # report drops every rejected render; the winner keeps its own
+    ref, schedule, threshold, _ = attackable_fixture()
+    words = [band_noise(76, duration_s=0.25), band_noise(77, duration_s=0.25)]
+    for search in (lambda backend: generic_attack(ref, backend, schedule),
+                   lambda backend: improved_attack(words, 2, backend, schedule)):
+        report = search(MockOracle(ref, "x", threshold=0.0))
+        assert isinstance(report, ExhaustionReport) and report.queries_used > 1
+        assert all(isinstance(c, QueryRecord) for c in report.candidates)
+        assert not audio_reachable(report)
+        assert audio_reachable(search(MockOracle(ref, "x", threshold=np.inf)))
+
+
+def test_an_exhausted_generic_attack_holds_two_renders_at_most():
+    # 10 s at 16 kHz and the default ten-rung ladder, every query rejected:
+    # the search holds the candidate being judged and the one being
+    # rendered, so beyond the source and two renders its peak is the
+    # oracle's extract_features working set on 999 frames, plus 16 KiB for
+    # the records. A report of every render would hold ten (12.8 MB).
+    source = random_buffer(68, 10 * SR)
+    backends = iter([MockOracle(source, "x", threshold=0.0) for _ in range(2)])
+    schedule = tdi_probe_schedule()
+    assert len(schedule) == 10
+    render = len(source) * source.samples.itemsize
+    peak = warm_peak_bytes(lambda: generic_attack(source, next(backends), schedule))
+    assert peak <= 3 * render + features_peak_bound(999) + 16 * 1024
 
 
 def test_generic_attack_validates_inputs():

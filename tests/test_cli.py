@@ -374,6 +374,8 @@ CONFIG_FILES = {
     "band-low-zero-width.cfg": "band_low = 5e-324\n",
     "band-low-inf-taps.cfg": "band_low = 1e-310\n",
     "band-low-too-many-taps.cfg": "band_low = 1e-300\n",
+    # 1.6e17 taps: indexable, but past the 2**24 cap on any filter's length
+    "band-low-past-tap-cap.cfg": "band_low = 1e-12\n",
     "stt.json": '{"url": "http://localhost:9/stt"}',
     "budget-str.json": '{"url": "http://localhost:9/stt", "budget": "3"}',
     "edit-neg.json": '{"url": "http://localhost:9/stt", "max_word_edit_distance": -1}',
@@ -461,6 +463,9 @@ EXIT_2_CASES = [
      "seed must be >= 0, got -3"),
     ("simulate-seed-file", "simulate {src} {out} --channel {dir}/seed-neg.cfg",
      "seed must be >= 0, got -1"),
+    ("simulate-band-low-past-tap-cap",
+     "simulate {src} {out} --channel {dir}/band-low-past-tap-cap.cfg",
+     "a low-pass edge at 1e-12 Hz needs too many taps"),
     ("attack-backend-spec", ATTACK + " oracle.wav",
      "backend must be mock:REF.wav:THRESHOLD or"),
     ("attack-mock-spec-no-reference", ATTACK + " mock:5",

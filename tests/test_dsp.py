@@ -95,14 +95,18 @@ def test_lowpass_length_is_four_rates_over_the_transition_width():
              (7000.0, 16000): 23,      # 22.86 -> 23
              (300.0, 22050): 735,      # 735
              (8000.0, 16000): 21,      # 20 -> 21
-             (1e-3, 16000): 160000001}
+             # the longest filter, one tap under the 2**24 cap
+             (10 * 16000 / (2**24 - 1), 16000): 2**24 - 1,
+             (10 * 48000 / (2**24 - 1), 48000): 2**24 - 1}
     assert {key: lowpass_length(*key) for key in cases} == cases
 
 
-@pytest.mark.parametrize("cutoff", [0.0, 5e-324, 1e-310, 1e-300, float("nan")])
+@pytest.mark.parametrize("cutoff", [0.0, 5e-324, 1e-310, 1e-300, 1e-3,
+                                    10 * SR / (2**24 + 1), float("nan")])
 def test_lowpass_length_rejects_an_edge_too_low_for_any_filter(cutoff):
     # 4 * 16000 / (0.4 * cutoff) is a division by zero, inf, or past the
-    # longest array numpy can index
+    # 2**24 tap cap: 1e-3 Hz would need 160000001 taps, and the edge next
+    # to last 2**24 + 1
     with pytest.raises(ValueError, match=f"low-pass edge at {cutoff!r} Hz"):
         lowpass_length(cutoff, SR)
 

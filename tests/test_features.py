@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
-from garble.dsp import next_pow2
 from garble.features import (
-    _BLOCK_FRAMES,
     FeatureConfig,
     FeatureMatrix,
     _dct_rows,
@@ -19,7 +17,8 @@ from garble.features import (
 from garble.perturb import tdi
 from oracles import (dct2_reference, direct_window_mags, mel_bank_reference,
                      mfcc_reference)
-from synth import FFT_PADS_INPUT, SR, band_noise, random_buffer, sine_buffer, warm_peak_bytes
+from synth import (SR, band_noise, features_peak_bound, random_buffer, sine_buffer,
+                   warm_peak_bytes)
 
 
 # --- mel scale and filterbank -----------------------------------------------
@@ -86,18 +85,10 @@ def test_too_short_audio_raises():
 
 
 def test_extract_features_peak_is_its_power_matrix_plus_one_block():
-    # 6 s at 16 kHz: 599 frames of 320 samples, 257 bins. The frames are
-    # transformed _BLOCK_FRAMES at a time, so beyond the power matrix only
-    # one block is live: its windowed frames, their complex spectrum and,
-    # on numpy < 2, their copy zero-padded to the FFT size, plus 16 KiB for
-    # the array objects around them. A transform of all frames at once
+    # 6 s at 16 kHz: 599 frames of 320 samples, each block's working set
+    # as features_peak_bound states it. A transform of all frames at once
     # peaks at about 4x the power matrix (5.2 MB here with numpy 2.4).
-    frame_len, fft_size = 320, next_pow2(320)
-    bins = fft_size // 2 + 1
-    power = 599 * bins * 8
-    padded = fft_size if FFT_PADS_INPUT else 0
-    block = _BLOCK_FRAMES * (frame_len + padded + 2 * bins) * 8 + 16 * 1024
-    assert warm_peak_bytes(extract_features, random_buffer(5, 6 * SR)) <= power + block
+    assert warm_peak_bytes(extract_features, random_buffer(5, 6 * SR)) <= features_peak_bound(599)
 
 
 # --- spectral content --------------------------------------------------------

@@ -623,16 +623,17 @@ def cuts(*seeds):
 
 
 def outcome(search, backend):
-    """Everything search(backend) hands back, in comparable form."""
+    """Everything search(backend) hands back, in comparable form: a
+    report's query records, or the winner with its audio bytes."""
     try:
         result = search(backend)
     except ValueError as exc:
         return ("ValueError", str(exc))
-    cands = [result] if isinstance(result, AttackCandidate) else list(result.candidates)
-    return (type(result).__name__, getattr(result, "queries_used", None),
-            backend.queries_used,
-            [(c.params, c.distortion_rank, c.verdict, c.audio.samples.tobytes())
-             for c in cands])
+    if isinstance(result, AttackCandidate):
+        return ("AttackCandidate", backend.queries_used, result.params,
+                result.distortion_rank, result.verdict, result.audio.samples.tobytes())
+    return ("ExhaustionReport", result.queries_used, backend.queries_used,
+            [(c.params, c.distortion_rank, c.verdict) for c in result.candidates])
 
 
 @attack_bounded
