@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import cached_table
+
 CANONICAL_RATE = 16000  # the attack pipeline operates on 16 kHz mono
 
 _PCM_FULL_SCALE = 32768.0  # int16 / 32768 -> [-1.0, 1.0), both ways
@@ -166,6 +168,25 @@ def write_wav(audio: AudioBuffer) -> bytes:
     return header + payload
 
 
+@cached_table
+def _resample_plan(n: int, rate: int) -> tuple:
+    """canonicalize's plan for n samples at rate. Output k sits at
+    position k * (rate / 16000); the plan holds its left sample, clamped to
+    the last, and for the outputs before the last sample their fraction
+    past the left one and the mask of those that interpolate (fraction
+    nonzero). Fraction and mask are None when no output interpolates, as
+    from 32, 48 and 96 kHz, where every position is a whole sample."""
+    n_out = round(n * CANONICAL_RATE / rate)
+    positions = np.arange(n_out) * (rate / CANONICAL_RATE)
+    lo = np.minimum(positions, n - 1).astype(np.intp)  # floor: positions >= 0
+    head = np.searchsorted(positions, n - 1)  # outputs before the last sample
+    frac = positions[:head] - lo[:head]
+    mask = frac != 0.0
+    if not mask.any():
+        return lo, None, None
+    return lo, frac, mask
+
+
 def canonicalize(audio: AudioBuffer) -> AudioBuffer:
     """Linear-interpolation resample to the one pipeline rate, 16 kHz: n samples
     at rate give round(n * 16000 / rate), sample k read at source position
@@ -174,7 +195,7 @@ def canonicalize(audio: AudioBuffer) -> AudioBuffer:
 
     The output's bytes are np.interp's. Its arithmetic, y[j] + (y[j+1] -
     y[j]) * fraction, runs over a plan built once per (n, rate)
-    (dsp._resample_plan): each output's left sample, fraction and whether
+    (_resample_plan): each output's left sample, fraction and whether
     it interpolates at all. Whole-sample positions and the clamped tail
     keep y[j] itself, signed zeros included, so from 48 kHz the resample
     is one gather. A cached plan holds 17 bytes per output sample, 8 when
@@ -187,10 +208,8 @@ def canonicalize(audio: AudioBuffer) -> AudioBuffer:
     7 kHz at full level. A band-limited resampler is ROADMAP item 4."""
     if audio.sample_rate == CANONICAL_RATE:
         return audio
-    from . import dsp  # dsp imports this module
-
     x = audio.samples
-    lo, frac, mask = dsp._resample_plan(len(x), audio.sample_rate)
+    lo, frac, mask = _resample_plan(len(x), audio.sample_rate)
     out = x[lo]
     if mask is not None:
         head = out[:len(mask)]  # the outputs before the last sample

@@ -128,10 +128,11 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     The config has checked its own fields; only the rules that need the
     sample rate (band_high <= Nyquist, a reverb delay of at least one
     sample and a finite count of them) are checked here, and raise
-    ValueError, as does output that overflowed (dsp.renormalize).
+    ValueError, as does output that overflowed, in the FIR or after it
+    (dsp.renormalize scans the final peak).
     """
     taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
-    out = apply_fir(audio, taps).samples if taps is not None else audio.samples.copy()
+    out = apply_fir(audio.samples, taps) if taps is not None else audio.samples.copy()
     out = _add_reverb(out, config, audio.sample_rate)
 
     if math.isfinite(config.snr_db) and len(out):

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operational failure (attack rejected/exhausted,
-backend unreachable), 2 usage/parameter errors.
+backend unreachable, out of memory), 2 usage/parameter errors.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .vad import detect_speech, format_regions
 
 DEFAULT_SEED = 42
 
+# the most points a range, a sweep grid or an attack ladder may have; a ladder
+# this long adds about 0.3 s to garble attack on a 2-core host
+_MAX_POINTS = 10**5
+
 
 def _load(path: str) -> AudioBuffer:
     return canonicalize(read_wav(Path(path).read_bytes()))
@@ -37,7 +41,9 @@ def _save(path: str, audio: AudioBuffer):
 
 
 def parse_float_range(text: str) -> tuple[float, ...]:
-    """"A:B:STEP" -> inclusive endpoints; "1.0:3.0:0.5" gives 5 values."""
+    """"A:B:STEP" -> inclusive endpoints; "1.0:3.0:0.5" gives 5 values.
+    A range of more than 10**5 points (_MAX_POINTS) raises ValueError
+    before any is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be A:B:STEP, got {text!r}")
@@ -49,10 +55,9 @@ def parse_float_range(text: str) -> tuple[float, ...]:
     if stop < start:
         raise ValueError("range end before start")
     points = (stop - start) / step + 1e-9
-    if not math.isfinite(points):
-        raise ValueError(f"range {text!r} has too many points to count")
-    count = int(math.floor(points)) + 1
-    return tuple(start + i * step for i in range(count))
+    if not points < _MAX_POINTS:  # inf too
+        raise ValueError(f"range {text!r} has too many points (more than {_MAX_POINTS})")
+    return tuple(start + i * step for i in range(int(points) + 1))
 
 
 def parse_hfa(text: str) -> tuple[tuple[float, float], ...]:
@@ -119,14 +124,29 @@ def cmd_perturb(args) -> int:
     return 0
 
 
+def _range_axis(args, option: str) -> tuple:
+    """The points of a range option, (None,) when it is not given or empty;
+    an error names the option."""
+    text = getattr(args, option[2:].replace("-", "_"))
+    if not text:
+        return (None,)
+    try:
+        return parse_float_range(text)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
+    options = ("--tdi-ms-range", "--rpg-ms-range", "--ts-range")
+    tdi, rpg, ts = (_range_axis(args, option) for option in options)
+    size = len(tdi) * len(rpg) * len(ts)
+    if size > _MAX_POINTS:
+        raise ValueError(f"the sweep grid ({' x '.join(options)}) has {size} points, "
+                         f"more than {_MAX_POINTS}")
     audio = _load(args.input)
-    grid = ParamGrid(
-        tdi_window_ms=parse_float_range(args.tdi_ms_range) if args.tdi_ms_range else (None,),
-        rpg_window_ms=parse_float_range(args.rpg_ms_range) if args.rpg_ms_range else (None,),
-        hfa_components=(parse_hfa(args.hfa),) if args.hfa else ((),),
-        ts_factor_percent=parse_float_range(args.ts_range) if args.ts_range else (None,),
-        rpg_seed=args.seed)
+    grid = ParamGrid(tdi_window_ms=tdi, rpg_window_ms=rpg,
+                     hfa_components=(parse_hfa(args.hfa),) if args.hfa else ((),),
+                     ts_factor_percent=ts, rpg_seed=args.seed)
     points = expand_grid(grid)
     for params in points:
         check_params(params, audio.sample_rate)
@@ -177,6 +197,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.count > _MAX_POINTS:
+        raise ValueError(f"--count {args.count} is more than {_MAX_POINTS} rungs")
     audio = _load(args.input)
     schedule = tdi_probe_schedule(args.start_ms, args.step_ms, args.count)
     spec = args.backend
@@ -318,6 +340,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size that no rule above bounds
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

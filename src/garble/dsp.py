@@ -1,6 +1,6 @@
-"""Shared signal kernels: ms-to-samples conversion, framing and tiling, peak
-renormalization, FIR low-pass design, FFT filtering, the resample plan and
-the table cache."""
+"""Shared array kernels: ms-to-samples conversion, framing and tiling, peak
+renormalization, FIR low-pass design, FFT filtering and the table cache, on
+plain numpy arrays. This module imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import math
 import sys
 
 import numpy as np
-
-from .audio_io import CANONICAL_RATE, AudioBuffer
 
 
 def cached_table(build):
@@ -170,43 +168,25 @@ def _taps_spectrum(taps_bytes: bytes, size: int) -> np.ndarray:
     return np.fft.rfft(np.frombuffer(taps_bytes), size)
 
 
-def apply_fir(audio: AudioBuffer, taps: np.ndarray) -> AudioBuffer:
-    """Convolve by FFT and compensate the group delay, (numtaps-1)/2 = delay;
-    length preserved. Matches direct convolution to rounding, not bit for
-    bit.
+def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Convolve the float64 samples x by FFT and compensate the group
+    delay, (numtaps-1)/2 = delay: float64 samples of x's length, equal to
+    direct convolution to rounding, not bit for bit. Unchecked: input near
+    the float64 maximum can give inf or NaN, which an AudioBuffer's maker
+    must reject.
 
     The FFT (np.fft) is zero padded to the 5-smooth size _fast_len(n +
     delay): the circular wrap-around then lands only in the first delay
     samples, which are cut, and the taps that a shorter FFT crops reach no
     kept sample. The taps' spectrum is built once per (taps bytes, FFT
     size) (_taps_spectrum), so repeated calls with the same taps on
-    same-length audio transform only the audio."""
+    same-length input transform only the input."""
     taps = np.asarray(taps, dtype=np.float64)
     if taps.ndim != 1 or len(taps) % 2 == 0:
         raise ValueError("only 1-D odd-length (linear-phase, integer-delay) taps")
-    n = len(audio.samples)
+    n = len(x)
     delay = (len(taps) - 1) // 2
     size = _fast_len(n + delay)
-    product = np.fft.rfft(audio.samples, size)
+    product = np.fft.rfft(x, size)
     product *= _taps_spectrum(taps.tobytes(), size)
-    full = np.fft.irfft(product, size)
-    return AudioBuffer(full[delay:delay + n], audio.sample_rate)
-
-
-@cached_table
-def _resample_plan(n: int, rate: int) -> tuple:
-    """audio_io.canonicalize's plan for n samples at rate. Output k sits at
-    position k * (rate / 16000); the plan holds its left sample, clamped to
-    the last, and for the outputs before the last sample their fraction
-    past the left one and the mask of those that interpolate (fraction
-    nonzero). Fraction and mask are None when no output interpolates, as
-    from 32, 48 and 96 kHz, where every position is a whole sample."""
-    n_out = round(n * CANONICAL_RATE / rate)
-    positions = np.arange(n_out) * (rate / CANONICAL_RATE)
-    lo = np.minimum(positions, n - 1).astype(np.intp)  # floor: positions >= 0
-    head = np.searchsorted(positions, n - 1)  # outputs before the last sample
-    frac = positions[:head] - lo[:head]
-    mask = frac != 0.0
-    if not mask.any():
-        return lo, None, None
-    return lo, frac, mask
+    return np.fft.irfft(product, size)[delay:delay + n]

@@ -223,7 +223,7 @@ def low_pass(audio, cutoff_hz):
     apply_fir with design_lowpass taps of lowpass_length at the buffer's rate."""
     rate = audio.sample_rate
     taps = design_lowpass(cutoff_hz, rate, lowpass_length(cutoff_hz, rate))
-    return apply_fir(audio, taps)
+    return AudioBuffer(apply_fir(audio.samples, taps), rate)
 
 
 def tdi_loop(x, w):
@@ -302,17 +302,17 @@ def detect_speech_loop(audio):
     return out
 
 
-def apply_fir_direct(audio, taps):
+def apply_fir_direct(x, taps):
     """dsp.apply_fir by direct np.convolve: full convolution, then the
     (numtaps-1)/2 group delay compensated; length preserved."""
     numtaps = len(taps)
     if numtaps % 2 == 0:
         raise ValueError("only odd-length (linear-phase, integer-delay) taps")
-    if len(audio.samples) == 0:
-        return audio
-    full = np.convolve(audio.samples, taps)
+    if len(x) == 0:
+        return x
+    full = np.convolve(x, taps)
     delay = (numtaps - 1) // 2
-    return AudioBuffer(full[delay:delay + len(audio.samples)], audio.sample_rate)
+    return full[delay:delay + len(x)]
 
 
 def resample_interp(audio):

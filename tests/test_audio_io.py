@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from garble import dsp
+from garble import audio_io
 from garble.audio_io import (
     CANONICAL_RATE,
     AudioBuffer,
@@ -225,7 +225,7 @@ def test_canonicalize_bytes_are_np_interp_s(n, rate, seed, zeros, scale):
     x[signed] = np.copysign(0.0, rng.uniform(-1.0, 1.0, np.count_nonzero(signed)))
     audio = AudioBuffer(x, rate)
     want = resampled_or_error(audio, resample_interp)
-    dsp._resample_plan.cache_clear()
+    audio_io._resample_plan.cache_clear()
     for plan in ("cold", "warm"):
         assert resampled_or_error(audio, canonicalize) == want, (
             f"{plan} plan differs from np.interp on {platform.machine()} "

@@ -5,13 +5,16 @@ plan) are built once, each through dsp.cached_table: every cached array is
 read-only, a repeated call returns the same object, and cold and warm caches
 give the same bytes, tdi and rpg at every window included."""
 
+import importlib
+import pkgutil
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from garble import channel, dsp, features, perturb
+import garble
+from garble import audio_io, dsp
 from garble.audio_io import AudioBuffer, canonicalize, write_wav
 from garble.channel import PRESETS, ChannelConfig, simulate
 from garble.features import FeatureConfig, extract_features
@@ -19,10 +22,13 @@ from garble.perturb import hfa, rpg, tdi, ts
 from oracles import rpg_loop, tdi_loop
 from synth import SR, random_buffer
 
-# every cached function in the modules that keep tables, so a new cache is
-# cleared by the cold runs below without being listed here
-CACHES = tuple(fn for module in (channel, dsp, features, perturb)
-               for fn in vars(module).values() if hasattr(fn, "cache_clear"))
+# every cached function in every module of the package, each once (a module
+# may import another's), so a new cache is cleared by the cold runs below
+# without being listed here
+MODULES = [importlib.import_module(f"garble.{info.name}")
+           for info in pkgutil.iter_modules(garble.__path__)]
+CACHES = tuple({id(fn): fn for module in MODULES for fn in vars(module).values()
+                if hasattr(fn, "cache_clear")}.values())
 LENGTHS = (1, 300, 1601, 24000)
 RATES = (16000, 22050)
 CHANNELS = (PRESETS["harsh"], replace(PRESETS["harsh"], seed=5),
@@ -99,7 +105,7 @@ def test_cached_tables_are_read_only():
         assert cache.cache_info().hits >= 1, cache.__name__
         assert built_by_cached_table(cache), cache.__name__
     for rate in (22050, 48000):  # no fraction or mask at 48 kHz: None in their place
-        plan = [array for array in dsp._resample_plan(24000, rate) if array is not None]
+        plan = [array for array in audio_io._resample_plan(24000, rate) if array is not None]
         assert plan and not any(array.flags.writeable for array in plan)
 
 

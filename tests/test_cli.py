@@ -485,6 +485,14 @@ EXIT_2_CASES = [
     ("attack-ladder-rung-too-long",
      ATTACK + " mock:{src}:0 --start-ms 1 --step-ms 1e306 --count 2",
      f"1e+306 {TOO_LONG}"),
+    # past the 10**5 points a range, a sweep grid or a ladder may have
+    ("sweep-range-past-point-cap", "sweep {src} {out} --tdi-ms-range 1:1e12:1",
+     "--tdi-ms-range: range '1:1e12:1' has too many points (more than 100000)"),
+    ("sweep-grid-past-point-cap",
+     "sweep {src} {out} --tdi-ms-range 1:100:1 --rpg-ms-range 1:100:1 --ts-range 100:199:1",
+     "(--tdi-ms-range x --rpg-ms-range x --ts-range) has 1000000 points"),
+    ("attack-count-past-point-cap", ATTACK + " mock:{src}:1 --count 100000000",
+     "--count 100000000 is more than 100000 rungs"),
 ]
 
 
@@ -551,15 +559,42 @@ def test_cli_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def package_env():
+    return {**os.environ, "PYTHONPATH": str(Path(garble.__file__).parents[1])}
+
+
+# the package's layers, each importing only modules listed before it
+LAYERS = ("dsp", "audio_io", "features", "perturb", "channel", "vad", "attack", "cli")
+
+
 @pytest.fixture(scope="module")
-def modules_after_cli_import():
-    """The modules a fresh interpreter holds after import garble.cli."""
-    env = {**os.environ, "PYTHONPATH": str(Path(garble.__file__).parents[1])}
-    code = "import garble.cli, sys; print(' '.join(sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+def modules_by_layer():
+    """The modules a fresh interpreter holds at start and after importing
+    each of LAYERS in turn, the last after import garble.cli."""
+    code = ("import importlib, json, sys\n"
+            "held = [sorted(sys.modules)]\n"
+            f"for name in {LAYERS!r}:\n"
+            "    importlib.import_module('garble.' + name)\n"
+            "    held.append(sorted(sys.modules))\n"
+            "print(json.dumps(held))")
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return [set(modules) for modules in json.loads(done.stdout)]
+
+
+@pytest.fixture(scope="module")
+def modules_after_cli_import(modules_by_layer):
+    return modules_by_layer[-1]
+
+
+def test_each_layer_import_adds_only_its_own_module(modules_by_layer):
+    # dsp <- audio_io <- features, perturb, channel, vad <- attack <- cli: an
+    # import that loaded a later layer would be a module reaching up the
+    # chain, or round an import cycle
+    for name, before, after in zip(LAYERS, modules_by_layer, modules_by_layer[1:]):
+        added = {m for m in after - before if m.split(".")[0] == "garble"}
+        assert added - {"garble"} == {f"garble.{name}"}, name
 
 
 def test_cli_import_loads_no_scipy(modules_after_cli_import):
@@ -573,3 +608,23 @@ def test_cli_import_loads_no_http_stack(modules_after_cli_import):
     # only the remote backend's queries use HTTP; urllib.request pulls in
     # http.client, email and ssl, 25-55 ms of every start
     assert not {"urllib.request", "http.client"} & modules_after_cli_import
+
+
+def test_an_allocation_past_memory_exits_1_in_one_line(wav_on_disk):
+    # 10**9 mel filters ask np.linspace for 7.45 GiB, past the 1 GiB of
+    # address space the child may map; the cap is set in the child only,
+    # since in-process, with overcommit, the allocation can succeed
+    resource = pytest.importorskip("resource")
+    src = wav_on_disk(band_noise(9, duration_s=0.5))
+    cap = 2**30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run([sys.executable, "-m", "garble.cli", "features", str(src),
+                           "--n-filters", "1000000000"], env=package_env(),
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("out of memory: Unable to allocate 7.45 GiB")
+    assert "Traceback" not in done.stderr

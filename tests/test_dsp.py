@@ -60,9 +60,9 @@ def test_lowpass_preserves_length_and_alignment():
     x = np.zeros(n)
     x[n // 2] = 1.0
     taps = design_lowpass(3000.0, SR, lowpass_length(3000.0, SR))
-    out = apply_fir(AudioBuffer(x, SR), taps)
+    out = apply_fir(x, taps)
     assert len(out) == n
-    assert int(np.argmax(np.abs(out.samples))) == n // 2
+    assert int(np.argmax(np.abs(out))) == n // 2
 
 
 def test_design_lowpass_validation():
@@ -113,7 +113,7 @@ def test_lowpass_length_rejects_an_edge_too_low_for_any_filter(cutoff):
 
 def test_apply_fir_rejects_even_taps():
     with pytest.raises(ValueError):
-        apply_fir(AudioBuffer(np.zeros(16), SR), np.ones(4) / 4)
+        apply_fir(np.zeros(16), np.ones(4) / 4)
 
 
 # --- SNR --------------------------------------------------------------------

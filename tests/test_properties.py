@@ -216,10 +216,10 @@ odd_taps = st.just(HARSH_TAPS) | st.builds(
 def test_apply_fir_matches_direct_convolution(n, taps, seed):
     # FFT convolution cannot be bit-exact; its rounding error scales with
     # the largest possible output, sum|taps| * max|x|
-    x = AudioBuffer(signal(n, seed), SR)
-    got, want = apply_fir(x, taps).samples, apply_fir_direct(x, taps).samples
+    x = signal(n, seed)
+    got, want = apply_fir(x, taps), apply_fir_direct(x, taps)
     assert len(got) == len(want) == n
-    bound = 1e-12 * np.sum(np.abs(taps)) * np.max(np.abs(x.samples))
+    bound = 1e-12 * np.sum(np.abs(taps)) * np.max(np.abs(x))
     assert np.max(np.abs(got - want)) <= bound
 
 
@@ -249,9 +249,9 @@ def test_harsh_simulate_wav_bytes_match_direct_convolution(monkeypatch):
     fft = aired_wavs()
     calls = []
 
-    def counted_direct(audio, taps):
-        calls.append(len(audio))
-        return apply_fir_direct(audio, taps)
+    def counted_direct(x, taps):
+        calls.append(len(x))
+        return apply_fir_direct(x, taps)
 
     monkeypatch.setattr("garble.channel.apply_fir", counted_direct)
     assert aired_wavs() == fft
@@ -333,8 +333,9 @@ TRANSFORMS = {
         ts_factor_percent=150.0)),
     "canonicalize": lambda x, amp: canonicalize(AudioBuffer(x.samples, 48000)),
     "wav-roundtrip": lambda x, amp: read_wav(write_wav(x)),
-    "apply_fir": lambda x, amp: apply_fir(x, HARSH_TAPS),
-    "apply_fir-1-tap": lambda x, amp: apply_fir(x, np.ones(1)),
+    "apply_fir": lambda x, amp: AudioBuffer(apply_fir(x.samples, HARSH_TAPS), x.sample_rate),
+    "apply_fir-1-tap": lambda x, amp: AudioBuffer(apply_fir(x.samples, np.ones(1)),
+                                                  x.sample_rate),
     "simulate-transparent": lambda x, amp: simulate(x, PRESETS["transparent"])[0],
     "simulate-harsh": lambda x, amp: simulate(x, PRESETS["harsh"])[0],
     "improved_attack-concatenation": lambda x, amp: concatenated(x),
