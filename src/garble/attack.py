@@ -15,7 +15,7 @@ import math
 import os
 import typing
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,22 +41,11 @@ class TranscriberVerdict:
     query_index: int  # 1-based position within the backend session
 
 
-@dataclass(frozen=True, eq=False)
-class AttackCandidate:
-    """A perturbed buffer; params is a tuple of per-word params for
-    concatenated candidates. distortion_rank 0 means worst-sounding."""
-
-    params: PerturbationParams | tuple[PerturbationParams, ...]
-    audio: AudioBuffer
-    distortion_rank: int = -1
-    verdict: TranscriberVerdict | None = None
-
-
 @dataclass(frozen=True)
 class QueryRecord:
-    """One rejected query without its audio: a render is a pure function of
-    (source, params), so apply_params re-renders it byte for byte (for a
-    concatenated candidate, each word's params in turn)."""
+    """One query without its audio: params (a tuple per word for a
+    concatenation), distortion_rank (0 is worst-sounding) and verdict.
+    apply_params re-renders the audio byte for byte from (source, params)."""
 
     params: PerturbationParams | tuple[PerturbationParams, ...]
     distortion_rank: int
@@ -64,12 +53,24 @@ class QueryRecord:
 
 
 @dataclass(frozen=True, eq=False)
+class AttackCandidate(QueryRecord):
+    """The accepted query: its record plus the audio. Equality is the
+    record's, field by field; the audio, fixed by the params, is left out."""
+
+    audio: AudioBuffer
+
+
+@dataclass(frozen=True, eq=False)
 class ExhaustionReport:
     """No candidate was accepted; carries exactly the verdicts issued, one
-    QueryRecord per query in query order, and no rendered audio."""
+    QueryRecord per query in query order, and no rendered audio. A search
+    starts on a backend with no spent queries, so these are all it spent."""
 
     candidates: tuple[QueryRecord, ...]
-    queries_used: int
+
+    @property
+    def queries_used(self) -> int:
+        return len(self.candidates)
 
 
 class TranscriberBackend:
@@ -151,15 +152,17 @@ def distortion_key(params: PerturbationParams) -> tuple[float, float, float]:
 
 
 def _ranked_candidates(audio: AudioBuffer, schedule: list[PerturbationParams]):
-    """Yield the schedule worst-sounding first, rendering each candidate only
-    when it is drawn. Ties keep schedule order; distortion_rank is 0, 1, ..."""
+    """Yield (params, distortion_rank, audio) over the schedule worst-sounding
+    first, rendering each point only when it is drawn. Ties keep schedule
+    order; distortion_rank is 0, 1, ..."""
     for rank, params in enumerate(sorted(schedule, key=distortion_key)):
-        yield AttackCandidate(params, apply_params(audio, params), rank)
+        yield params, rank, apply_params(audio, params)
 
 
 def _first_accepted(backend: TranscriberBackend, candidates):
-    """Query candidates in order and return the first accepted one (verdict
-    attached), or an ExhaustionReport when candidates or budget run out.
+    """Query (params, distortion_rank, audio) triples in order. Return the
+    first accepted one as an AttackCandidate, or an ExhaustionReport when
+    the triples or the budget run out.
 
     A candidate is drawn only when a query is left to spend on it: every
     transcribe() spends exactly one query or raises, so the budget left on
@@ -168,12 +171,12 @@ def _first_accepted(backend: TranscriberBackend, candidates):
     candidate last judged and the one being drawn.
     """
     issued = []
-    for cand in itertools.islice(candidates, backend.queries_remaining):
-        verdict = backend.transcribe(cand.audio)
+    for params, rank, audio in itertools.islice(candidates, backend.queries_remaining):
+        verdict = backend.transcribe(audio)
         if verdict.accepted:
-            return replace(cand, verdict=verdict)
-        issued.append(QueryRecord(cand.params, cand.distortion_rank, verdict))
-    return ExhaustionReport(tuple(issued), backend.queries_used)
+            return AttackCandidate(params, rank, verdict, audio)
+        issued.append(QueryRecord(params, rank, verdict))
+    return ExhaustionReport(tuple(issued))
 
 
 def _check_search(schedule: list[PerturbationParams], rate: int,
@@ -192,7 +195,7 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
                    schedule: list[PerturbationParams]):
     """Probe the schedule worst-sounding first.
 
-    Returns the first accepted AttackCandidate (verdict attached), or an
+    Returns the first accepted query as an AttackCandidate, or an
     ExhaustionReport when the schedule or the budget runs out. Running out
     of budget mid-schedule is a normal outcome here, not an exception. Every
     point is checked at the source's rate before the first query (a bad one
@@ -228,24 +231,22 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     rate = words[0].sample_rate
     _check_search(schedule, rate, backend)
 
-    per_word: list[list[AttackCandidate]] = []
+    per_word = []
     for word in words:
         variants = _ranked_candidates(word, schedule)
         if math.isfinite(feature_threshold):
             ref = extract_features(word)
-            variants = (c for c in variants
-                        if _accepts(c.audio, ref, feature_threshold))
+            variants = ((params, rank, audio) for params, rank, audio in variants
+                        if _accepts(audio, ref, feature_threshold))
         kept = list(itertools.islice(variants, per_word_variants))
         if not kept:
             raise ValueError("a word has no variants under the feature threshold")
         per_word.append(kept)
 
-    combos = (AttackCandidate(
-        params=tuple(c.params for c in combo),
-        audio=AudioBuffer._of_checked(  # checked samples, only rearranged
-            np.concatenate([c.audio.samples for c in combo]), rate),
-        distortion_rank=rank)
-        for rank, combo in enumerate(itertools.product(*per_word)))
+    combos = ((tuple(params for params, _, _ in combo), rank,
+               AudioBuffer._of_checked(  # checked samples, only rearranged
+                   np.concatenate([audio.samples for _, _, audio in combo]), rate))
+              for rank, combo in enumerate(itertools.product(*per_word)))
     return _first_accepted(backend, combos)
 
 

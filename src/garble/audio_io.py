@@ -7,9 +7,9 @@ as float64 once loaded; one scale, 32768, maps PCM-16 codes both ways.
 Every AudioBuffer holds finite samples. The public constructor scans for
 NaN and infinity; package code skips that scan (AudioBuffer._of_checked)
 only for samples already known to be finite: PCM-16 codes and float-32
-data read_wav has checked, selections and permutations of a checked
-buffer's samples, and samples whose peak dsp.renormalize has just found
-finite.
+data read_wav has checked, and selections and permutations of a checked
+buffer's samples. AudioBuffer._renormalized finds the peak of samples
+that may have overflowed, which is the same check.
 """
 
 from __future__ import annotations
@@ -68,6 +68,21 @@ class AudioBuffer:
         object.__setattr__(audio, "samples", samples)
         object.__setattr__(audio, "sample_rate", sample_rate)
         return audio
+
+    @classmethod
+    def _renormalized(cls, samples: np.ndarray, rate: int) -> tuple[AudioBuffer, float]:
+        """(buffer, scale): samples scaled by 1/peak when they peak past full
+        scale (scale 1.0, samples as they are, when not), so a caller can
+        report every rescale instead of clipping. A non-finite peak raises the
+        constructor's ValueError; the caller guarantees the rest, as for
+        _of_checked."""
+        peak = float(np.max(np.abs(samples), initial=0.0))
+        if not np.isfinite(peak):
+            raise ValueError("AudioBuffer samples must be finite")
+        if peak <= 1.0:
+            return cls._of_checked(samples, rate), 1.0
+        scale = 1.0 / peak
+        return cls._of_checked(samples * scale, rate), scale
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import apply_fir, cached_table, design_lowpass, lowpass_length, renormalize
+from .dsp import apply_fir, cached_table, checked_seed, design_lowpass, lowpass_length
 
 # the noise gain factor 10 ** (-snr_db / 20) is 1e154 here, so noise scaled
 # to any signal read_wav can return (up to float32 max, raised by the band
@@ -43,9 +43,8 @@ class ChannelConfig:
             raise ValueError("need 0 <= band_low < band_high")
         if not _MIN_SNR_DB <= self.snr_db <= math.inf:
             raise ValueError(f"snr_db must be >= {_MIN_SNR_DB} or +inf, got {self.snr_db}")
-        # index(): a float seed or tap count is a TypeError, not a silent cast
-        if operator.index(self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        checked_seed(self.seed)
+        # index(): a float tap count is a TypeError, not a silent cast
         if operator.index(self.reverb_taps) < 0:
             raise ValueError("reverb_taps must be >= 0")
         # a decay above 1 makes a growing tap train, not a reverb
@@ -129,7 +128,7 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
     sample rate (band_high <= Nyquist, a reverb delay of at least one
     sample and a finite count of them) are checked here, and raise
     ValueError, as does output that overflowed, in the FIR or after it
-    (dsp.renormalize scans the final peak).
+    (AudioBuffer._renormalized scans the final peak).
     """
     taps = _band_taps(config.band_low, config.band_high, audio.sample_rate)
     out = apply_fir(audio.samples, taps) if taps is not None else audio.samples.copy()
@@ -141,8 +140,7 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
         if p_sig > 0.0 and p_noise > 0.0:  # silence gets none; never divide by 0
             out = out + noise * (math.sqrt(p_sig / p_noise) * 10.0 ** (-config.snr_db / 20.0))
 
-    out, scale = renormalize(out)  # raises on a sum that overflowed
-    return AudioBuffer._of_checked(out, audio.sample_rate), scale
+    return AudioBuffer._renormalized(out, audio.sample_rate)  # raises on overflow
 
 
 def parse_channel_config(text: str) -> ChannelConfig:

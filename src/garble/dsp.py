@@ -1,11 +1,12 @@
-"""Shared array kernels: ms-to-samples conversion, framing and tiling, peak
-renormalization, FIR low-pass design, FFT filtering and the table cache, on
-plain numpy arrays. This module imports nothing from the package."""
+"""Shared array kernels and rules: ms-to-samples conversion, the seed rule,
+framing and tiling, FIR low-pass design, FFT filtering and the table cache,
+on plain numpy arrays. This module imports nothing from the package."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -54,6 +55,15 @@ def window_ms_to_samples(window_ms: float, sample_rate: int) -> int:
     return max(1, round(samples))
 
 
+def checked_seed(seed) -> int:
+    """The seed rule of every random stream (rpg's phases, channel noise): an
+    integer >= 0, returned as an int; a float is a TypeError, not a cast."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     """Read-only (n_frames, length) strided view of the full frames of x.
 
@@ -85,23 +95,6 @@ def tiles(x: np.ndarray, length: int) -> list[np.ndarray]:
     tail = x[None, cut:]
     full.flags.writeable = tail.flags.writeable = False
     return [full, tail] if tail.size else [full]
-
-
-def renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scale x by 1/peak when it peaks past full scale; returns (x, scale).
-
-    scale is 1.0 (and x is returned as is) when |x| <= 1 throughout, so the
-    caller can report every rescale instead of hard-clipping. A NaN or
-    infinite sample makes the peak non-finite and raises ValueError, the
-    AudioBuffer constructor's error; so what it returns is finite.
-    """
-    peak = float(np.max(np.abs(x), initial=0.0))
-    if not math.isfinite(peak):
-        raise ValueError("AudioBuffer samples must be finite")
-    if peak <= 1.0:
-        return x, 1.0
-    scale = 1.0 / peak
-    return x * scale, scale
 
 
 # the most taps lowpass_length gives: 128 MiB of float64 taps, and a
@@ -172,8 +165,7 @@ def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Convolve the float64 samples x by FFT and compensate the group
     delay, (numtaps-1)/2 = delay: float64 samples of x's length, equal to
     direct convolution to rounding, not bit for bit. Unchecked: input near
-    the float64 maximum can give inf or NaN, which an AudioBuffer's maker
-    must reject.
+    the float64 maximum can give inf or NaN, which the caller must reject.
 
     The FFT (np.fft) is zero padded to the 5-smooth size _fast_len(n +
     delay): the circular wrap-around then lands only in the first delay

@@ -81,13 +81,15 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
 
     Returns an (n_filters, fft_size//2 + 1) matrix of bin weights, built
     once per argument triple; each row rises linearly in Hz from its left
-    vertex to its center and falls to its right vertex.
+    vertex to its center and falls to its right vertex. There are at least
+    one and at most as many filters as bins, checked before any is built.
     """
-    if n_filters < 1:
-        raise ValueError("n_filters must be >= 1")
+    n_bins = fft_size // 2 + 1
+    if not 1 <= n_filters <= n_bins:
+        raise ValueError(f"n_filters must be in [1, {n_bins}] (FFT bins), got {n_filters}")
     vertices = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_filters + 2))
     left, center, right = vertices[:-2, None], vertices[1:-1, None], vertices[2:, None]
-    freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+    freqs = np.arange(n_bins) * (sample_rate / fft_size)
     rise = (freqs - left) / (center - left)
     fall = (right - freqs) / (right - center)
     return np.maximum(0.0, np.minimum(rise, fall))

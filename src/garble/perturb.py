@@ -6,8 +6,9 @@ Four primitives:
 * tdi - time-domain inversion: each fixed-length window is reversed in place.
 * rpg - random phase generation: per window, every interior FFT bin keeps its
   magnitude but gets a fresh uniform-random phase.
-* hfa - high-frequency addition: pure sine tones (normally above 8 kHz) are
-  mixed on top of the signal.
+* hfa - high-frequency addition: pure sine tones below Nyquist are mixed on
+  top of the signal; at 16 kHz, the one rate the CLI renders at, that is
+  inside the band the features read (ROADMAP item 11).
 * ts  - time scaling: playback is compressed by keeping sample k*s (rounded,
   and clamped to the last) and dropping the rest, leaving the sample rate
   untouched.
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import cached_table, renormalize, tiles, window_ms_to_samples
+from .dsp import cached_table, checked_seed, tiles, window_ms_to_samples
 
 
 def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
@@ -54,7 +54,7 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
     (_phasor_stream), so the output is a pure function of (samples, window,
     seed).
     """
-    seed = _checked_seed(seed)
+    seed = checked_seed(seed)
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     phasors = _phasor_stream(seed, len(audio.samples))
     out = []
@@ -69,14 +69,6 @@ def rpg(audio: AudioBuffer, window_ms: float, seed: int = 0) -> AudioBuffer:
         phasors = phasors[used:]
         out.append(np.fft.irfft(bins, n=n, axis=1).ravel())
     return AudioBuffer(np.concatenate(out), audio.sample_rate)
-
-
-def _checked_seed(seed) -> int:
-    """rpg's seed rule: an integer >= 0."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 @cached_table
@@ -100,7 +92,7 @@ def hfa(audio: AudioBuffer,
     in (0, Nyquist), each amplitude be finite and >= 0, and the amplitudes
     sum to at most 1e300, which keeps the mix finite (_check_components) on
     any clip that peaks below 1e307; a mix that overflows anyway raises
-    ValueError (dsp.renormalize).
+    ValueError (AudioBuffer._renormalized).
 
     Returns (buffer, scale). If the mix peaks past full scale the whole
     buffer is rescaled by 1/peak (scale < 1.0 reports that); samples are
@@ -110,8 +102,7 @@ def hfa(audio: AudioBuffer,
     out = audio.samples.copy()
     for freq, amp in components:
         out += amp * _tone(float(freq), len(out), audio.sample_rate)
-    out, scale = renormalize(out)  # raises on a mix that overflowed
-    return AudioBuffer._of_checked(out, audio.sample_rate), scale
+    return AudioBuffer._renormalized(out, audio.sample_rate)  # raises on overflow
 
 
 _MAX_AMPLITUDE_SUM = 1e300
@@ -217,7 +208,7 @@ def check_params(params: PerturbationParams, sample_rate: int):
     if params.tdi_window_ms is not None:
         window_ms_to_samples(params.tdi_window_ms, sample_rate)
     if params.rpg_window_ms is not None:
-        _checked_seed(params.rpg_seed)
+        checked_seed(params.rpg_seed)
         window_ms_to_samples(params.rpg_window_ms, sample_rate)
     _check_components(params.hfa_components, sample_rate)
 

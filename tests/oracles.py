@@ -21,7 +21,6 @@ only the search order and the query accounting of the lazy versions.
 
 import itertools
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -330,22 +329,22 @@ def resample_interp(audio):
 
 def _rank_eager(audio, schedule):
     """Render every schedule point, then stable-sort worst-sounding first and
-    stamp distortion_rank 0, 1, ..."""
-    rendered = [AttackCandidate(p, apply_params(audio, p)) for p in schedule]
-    ranked = sorted(rendered, key=lambda c: distortion_key(c.params))
-    return [replace(c, distortion_rank=i) for i, c in enumerate(ranked)]
+    number the (params, distortion_rank, audio) triples 0, 1, ..."""
+    rendered = [(p, apply_params(audio, p)) for p in schedule]
+    ranked = sorted(rendered, key=lambda pair: distortion_key(pair[0]))
+    return [(p, i, a) for i, (p, a) in enumerate(ranked)]
 
 
 def _query_eager(backend, candidates):
     issued = []
-    for cand in candidates:
+    for params, rank, audio in candidates:
         if backend.queries_remaining == 0:
             break
-        verdict = backend.transcribe(cand.audio)
+        verdict = backend.transcribe(audio)
         if verdict.accepted:
-            return replace(cand, verdict=verdict)
-        issued.append(QueryRecord(cand.params, cand.distortion_rank, verdict))
-    return ExhaustionReport(tuple(issued), backend.queries_used)
+            return AttackCandidate(params, rank, verdict, audio)
+        issued.append(QueryRecord(params, rank, verdict))
+    return ExhaustionReport(tuple(issued))
 
 
 def generic_attack_eager(source, backend, schedule):
@@ -364,14 +363,13 @@ def improved_attack_eager(words, per_word_variants, backend, schedule,
         ranked = _rank_eager(word, schedule)
         if math.isfinite(feature_threshold):
             ref = extract_features(word)
-            ranked = [c for c in ranked if feature_distance(
-                extract_features(c.audio), ref) <= feature_threshold]
+            ranked = [(p, i, a) for p, i, a in ranked if feature_distance(
+                extract_features(a), ref) <= feature_threshold]
             if not ranked:
                 raise ValueError("a word has no variants under the feature threshold")
         per_word.append(ranked[:per_word_variants])
-    combos = (AttackCandidate(
-        tuple(c.params for c in combo),
-        AudioBuffer(np.concatenate([c.audio.samples for c in combo]), words[0].sample_rate),
-        rank)
-        for rank, combo in enumerate(itertools.product(*per_word)))
+    combos = ((tuple(p for p, _, _ in combo), rank,
+               AudioBuffer(np.concatenate([a.samples for _, _, a in combo]),
+                           words[0].sample_rate))
+              for rank, combo in enumerate(itertools.product(*per_word)))
     return _query_eager(backend, combos)

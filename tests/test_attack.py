@@ -343,6 +343,61 @@ class Deaf(garble.attack.TranscriberBackend):
         return False, ""
 
 
+class AcceptsQuery(garble.attack.TranscriberBackend):
+    """Accepts query number n alone, and keeps every verdict it issues."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n, self.verdicts = n, []
+
+    def transcribe(self, audio):
+        self.verdicts.append(super().transcribe(audio))
+        return self.verdicts[-1]
+
+    def _evaluate(self, audio):
+        return self.queries_used + 1 == self.n, "x"
+
+
+def test_a_winner_is_the_record_of_the_query_that_accepted_it():
+    # the winner is its query's QueryRecord plus the audio: params and rank
+    # as the search records them for that query when it is rejected, and
+    # the verdict the backend issued for it
+    source = band_noise(75, duration_s=0.5)
+    words = [band_noise(72, duration_s=0.25), band_noise(73, duration_s=0.25)]
+    schedule = tdi_probe_schedule(count=3)
+    for search in (lambda backend: generic_attack(source, backend, schedule),
+                   lambda backend: improved_attack(words, 2, backend, schedule)):
+        record = search(Deaf()).candidates[2]
+        backend = AcceptsQuery(3)
+        winner = search(backend)
+        assert isinstance(winner, QueryRecord) and isinstance(winner, AttackCandidate)
+        assert ((winner.params, winner.distortion_rank, winner.verdict)
+                == (record.params, 2, backend.verdicts[-1]))
+        assert winner.verdict == TranscriberVerdict(True, "x", 3)
+
+
+def test_an_attack_candidate_is_built_with_every_field():
+    # built once, for the accepted query, so no field has a placeholder
+    audio = band_noise(75, duration_s=0.1)
+    params = PerturbationParams(tdi_window_ms=1.0)
+    with pytest.raises(TypeError):
+        AttackCandidate(params=params, distortion_rank=0, audio=audio)
+    with pytest.raises(TypeError):
+        AttackCandidate(params=params, audio=audio)
+    assert all(f.default is f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(AttackCandidate))
+
+
+def test_winners_compare_as_their_records():
+    # equality is the record's, field by field; the audio is left out
+    ref, schedule, threshold, _ = attackable_fixture()
+    a, b = (generic_attack(ref, MockOracle(ref, "x", threshold), schedule)
+            for _ in range(2))
+    assert a.audio is not b.audio
+    assert a == b and hash(a) == hash(b)
+    assert a != dataclasses.replace(a, distortion_rank=a.distortion_rank + 1)
+
+
 @pytest.mark.parametrize("seed", [80, 81, 82])
 def test_improved_attack_keeps_what_the_mock_oracle_accepts(seed):
     # one judgement for both searches: on a seeded word and ladder, at every

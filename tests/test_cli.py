@@ -485,6 +485,12 @@ EXIT_2_CASES = [
     ("attack-ladder-rung-too-long",
      ATTACK + " mock:{src}:0 --start-ms 1 --step-ms 1e306 --count 2",
      f"1e+306 {TOO_LONG}"),
+]
+
+# sizes past a cap: these rows run in a child bounded in memory and time
+# (run_capped), so a cap that stopped working fails the test rather than
+# growing the test process
+SIZE_CAP_CASES = [
     # past the 10**5 points a range, a sweep grid or a ladder may have
     ("sweep-range-past-point-cap", "sweep {src} {out} --tdi-ms-range 1:1e12:1",
      "--tdi-ms-range: range '1:1e12:1' has too many points (more than 100000)"),
@@ -493,6 +499,9 @@ EXIT_2_CASES = [
      "(--tdi-ms-range x --rpg-ms-range x --ts-range) has 1000000 points"),
     ("attack-count-past-point-cap", ATTACK + " mock:{src}:1 --count 100000000",
      "--count 100000000 is more than 100000 rungs"),
+    # a 20 ms frame at 16 kHz has 257 FFT bins, so no more mel filters
+    ("features-filters-past-bins", "features {src} --n-filters 1000000000",
+     "n_filters must be in [1, 257] (FFT bins), got 1000000000"),
 ]
 
 
@@ -610,21 +619,39 @@ def test_cli_import_loads_no_http_stack(modules_after_cli_import):
     assert not {"urllib.request", "http.client"} & modules_after_cli_import
 
 
-def test_an_allocation_past_memory_exits_1_in_one_line(wav_on_disk):
-    # 10**9 mel filters ask np.linspace for 7.45 GiB, past the 1 GiB of
-    # address space the child may map; the cap is set in the child only,
-    # since in-process, with overcommit, the allocation can succeed
+def run_capped(argv):
+    """python -m garble.cli argv in a child that may map 1 GiB of address
+    space and run 30 s. The cap is set in the child only, since in-process,
+    with overcommit, a large allocation can succeed."""
     resource = pytest.importorskip("resource")
-    src = wav_on_disk(band_noise(9, duration_s=0.5))
     cap = 2**30
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    done = subprocess.run([sys.executable, "-m", "garble.cli", "features", str(src),
-                           "--n-filters", "1000000000"], env=package_env(),
-                          capture_output=True, text=True, preexec_fn=limit)
+    return subprocess.run([sys.executable, "-m", "garble.cli", *map(str, argv)],
+                          env=package_env(), capture_output=True, text=True,
+                          preexec_fn=limit, timeout=30)
+
+
+@cases(SIZE_CAP_CASES)
+def test_a_size_past_a_cap_exits_2_in_a_bounded_child(tmp_path, wav_on_disk, argv, fragment):
+    paths = {"src": wav_on_disk(band_noise(9, duration_s=0.5)), "out": tmp_path / "out"}
+    before = sorted(tmp_path.rglob("*"))
+    done = run_capped(arg.format(**paths) for arg in shlex.split(argv))
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert fragment in done.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_allocation_past_memory_exits_1_in_one_line(wav_on_disk):
+    # a 1 s frame at 16 kHz has 8193 FFT bins, so 8193 mel filters pass the
+    # filter rule and ask for banks of 512 MiB, past what the child may map
+    src = wav_on_disk(band_noise(9, duration_s=1.0))
+    done = run_capped(["features", src, "--frame-ms", "1000", "--n-filters", "8193",
+                       "--mfsc"])
     assert done.returncode == 1 and done.stdout == ""
     assert len(done.stderr.splitlines()) == 1, done.stderr
-    assert done.stderr.startswith("out of memory: Unable to allocate 7.45 GiB")
+    assert done.stderr.startswith("out of memory: Unable to allocate 512. MiB")
     assert "Traceback" not in done.stderr

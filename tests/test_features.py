@@ -62,6 +62,16 @@ def test_filterbank_needs_a_filter():
         mel_filterbank(0, 512, SR)
 
 
+def test_filterbank_has_no_more_filters_than_bins():
+    # 512-point FFT: 257 bins, so at most 257 filters, refused before any
+    # array is built
+    assert mel_filterbank(257, 512, SR).shape == (257, 257)
+    with pytest.raises(ValueError, match=r"n_filters must be in \[1, 257\]"):
+        mel_filterbank(258, 512, SR)
+    with pytest.raises(ValueError, match=r"n_filters must be in \[1, 1\]"):
+        mel_filterbank(2, 1, SR)
+
+
 # --- framing laws ------------------------------------------------------------
 
 
