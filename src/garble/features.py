@@ -1,9 +1,11 @@
 """Filterbank cepstral features (MFCC) and log filterbank energies (MFSC).
 
 Pipeline per frame: optional pre-emphasis, analysis window, real FFT zero
-padded to the next power of two, magnitude-squared spectrum (or plain
-magnitude), triangular mel filterbank, log with an absolute floor, and an
-orthonormal DCT-II when cepstral output is wanted.
+padded to the next power of two, power spectrum re^2 + im^2 (or the
+magnitude |X|), triangular mel filterbank, log with an absolute floor, and
+an orthonormal DCT-II when cepstral output is wanted. Frames stream through
+the front end _BLOCK_FRAMES at a time, each block weighted by the mel bank
+as it is transformed, so the feature path holds the energies plus one block.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .dsp import cached_table, frames, next_pow2, tiles, window_ms_to_samples
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
 _LOG_FLOOR = 1e-10  # absolute floor on filterbank energies before the log
-# frames that spectrum windows and transforms at a time: on 1.5 s and 6 s
-# clips 16 was slower and 64 or more no faster, and memory grows with it
+# frames the front end windows, transforms and weights at a time: of 16, 32,
+# 48, 64 and 160, 32 was fastest on attack_line, and memory grows with it
 _BLOCK_FRAMES = 32
 
 
@@ -120,20 +122,25 @@ def has_frames(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> b
     return len(audio) >= window_ms_to_samples(config.frame_ms, audio.sample_rate)
 
 
-def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Per-frame one-sided spectrum of the full analysis frames.
+def _power(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array into out with no temporary: its
+    float64 (re, im) pairs are squared in place, then each pair summed."""
+    pairs = spec.view(np.float64)
+    np.square(pairs, out=pairs)
+    return np.add(pairs[..., 0::2], pairs[..., 1::2], out=out)
 
-    Pre-emphasis, analysis window, real FFT zero padded to the next power of
-    two, then |X|^2 (config.use_power) or |X|. Returns an
-    (n_frames, fft_size//2 + 1) matrix, which mel_energies weights by the
-    cached mel_filterbank. The Hamming window is built once per frame
-    length (_hamming).
 
-    Frames are windowed and transformed _BLOCK_FRAMES at a time into the
-    preallocated output, which is then squared in place, so memory is the
-    output plus one block (plus a pre-emphasized copy of the clip when
-    pre_emphasis is set). Each row is the same arithmetic, bit for bit, as
-    one transform of all frames at once.
+def _spectrum_blocks(audio: AudioBuffer, config: FeatureConfig):
+    """Yield (n_frames, fft_size) before any transform, then (start, block)
+    for each run of up to _BLOCK_FRAMES full frames from frame start on.
+
+    One zero-padded (min(_BLOCK_FRAMES, n_frames), fft_size) scratch is
+    built per call: each block's windowed frames fill its first frame_len
+    columns and the columns past them stay zero, so one np.fft.rfft of the
+    scratch is the transform zero padded to the next power of two. Its
+    power (_power) or magnitude (np.abs) is written into one reused (block,
+    bins) buffer, and each block yielded is that buffer, so it holds only
+    until the next one is drawn.
     """
     frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
     hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
@@ -145,24 +152,55 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
     rows = frames(x, frame_len, hop)
     window = _hamming(frame_len) if config.analysis_window == "hamming" else None
     fft_size = next_pow2(frame_len)
-    out = np.empty((len(rows), fft_size // 2 + 1))
+    level = _power if config.use_power else np.abs
+    yield len(rows), fft_size
+    padded = np.zeros((min(_BLOCK_FRAMES, len(rows)), fft_size))
+    out = np.empty((len(padded), fft_size // 2 + 1))
     for start in range(0, len(rows), _BLOCK_FRAMES):
         block = rows[start:start + _BLOCK_FRAMES]
+        n = len(block)
         if window is not None:
-            block = block * window
-        np.abs(np.fft.rfft(block, n=fft_size, axis=1), out=out[start:start + _BLOCK_FRAMES])
-    return np.square(out, out=out) if config.use_power else out
+            np.multiply(block, window, out=padded[:n, :frame_len])
+        else:
+            padded[:n, :frame_len] = block
+        # the complex block is dropped before the next block is windowed
+        yield start, level(np.fft.rfft(padded[:n], axis=1), out=out[:n])
+
+
+def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Per-frame one-sided spectrum of the full analysis frames.
+
+    Pre-emphasis, analysis window, real FFT zero padded to the next power of
+    two, then the power re^2 + im^2 (config.use_power) or the magnitude |X|.
+    Returns an (n_frames, fft_size//2 + 1) matrix: the blocks of
+    _spectrum_blocks stacked, so memory is this matrix plus one block (plus
+    a pre-emphasized copy of the clip when pre_emphasis is set). The
+    feature path never builds it; garble spectrogram draws it. The Hamming
+    window is built once per frame length (_hamming).
+    """
+    blocks = _spectrum_blocks(audio, config)
+    n_frames, fft_size = next(blocks)
+    out = np.empty((n_frames, fft_size // 2 + 1))
+    for start, block in blocks:
+        out[start:start + len(block)] = block
+    return out
 
 
 def mel_energies(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Per-frame filterbank energies before the log (n_frames x n_filters):
-    one product of the whole spectrum matrix with the mel bank, so memory
-    is spectrum's (its output plus one block) plus these energies. A
-    product per block would not give the same bytes."""
-    spec = spectrum(audio, config)
-    fft_size = max(1, 2 * (spec.shape[1] - 1))  # a power of two, so the bins fix it
+    """Per-frame filterbank energies before the log (n_frames x n_filters).
+
+    The cached mel_filterbank is fetched before the first transform, so a
+    config with more filters than bins is refused before any spectrum is
+    computed. Each block of spectrum rows is then weighted by the bank in
+    its own product, written into the preallocated energies, so memory is
+    these energies plus one block."""
+    blocks = _spectrum_blocks(audio, config)
+    n_frames, fft_size = next(blocks)
     bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate)
-    return spec @ bank.T
+    energies = np.empty((n_frames, config.n_filters))
+    for start, block in blocks:
+        np.matmul(block, bank.T, out=energies[start:start + len(block)])
+    return energies
 
 
 def extract_features(audio: AudioBuffer,
@@ -171,12 +209,12 @@ def extract_features(audio: AudioBuffer,
     config.include_dct is False. Frame count obeys
     (len - frame) // hop + 1 (99 rows for 1 s at 16 kHz defaults).
 
-    MFCC rows are the log energies times the cached DCT-II rows of
-    _dct_rows, so only the kept coefficients are computed. They match an
-    orthonormal FFT-based DCT-II to rounding (within 6e-14 on log
-    energies), not bit for bit."""
-    energies = mel_energies(audio, config)
-    logs = np.log(np.maximum(energies, _LOG_FLOOR))
+    The energies are floored and logged in place. MFCC rows are the log
+    energies times the cached DCT-II rows of _dct_rows, so only the kept
+    coefficients are computed. They match an orthonormal FFT-based DCT-II
+    to rounding (within 6e-14 on log energies), not bit for bit."""
+    logs = mel_energies(audio, config)
+    np.log(np.maximum(logs, _LOG_FLOOR, out=logs), out=logs)
     if config.include_dct:
         data = logs @ _dct_rows(config.n_coefficients, config.n_filters).T
     else:

@@ -4,8 +4,8 @@ The signal references are computed from first principles: explicit DFT
 matrices instead of np.fft, a hand-written DCT-II, a hand-built mel
 filterbank. They import nothing from the package under test, so agreement
 between the two routes is evidence rather than tautology. stft_one_shot
-is the exception: it is the features' earlier spectrum, every frame in
-one np.fft call, which the blocked spectrum must match byte for byte.
+is the exception: it is the features' spectrum with every frame in one
+np.fft call, which the blocked spectrum must match byte for byte.
 measure_snr is the SNR the channel tests hold the simulator to; low_pass
 is the package's FIR design and filter composed into the low-pass the
 tests strip tones with. The per-window loops after them are tdi by its
@@ -175,8 +175,9 @@ def stft_one_shot(samples, sample_rate, frame_ms=20.0, hop_ms=10.0,
                   window="hamming", use_power=True, pre_emphasis=0.0):
     """The feature front end's spectrum of every full frame in one pass:
     all frames windowed at once and transformed by one np.fft.rfft call,
-    zero padded to the next power of two, then |X|^2 or |X|. These are the
-    numpy operations a blocked transform must reproduce row for row."""
+    zero padded to the next power of two, then the power re^2 + im^2 or
+    the magnitude |X|. These are the numpy operations a blocked transform
+    must reproduce row for row."""
     x = np.asarray(samples, dtype=np.float64)
     if pre_emphasis:
         x = np.concatenate([[x[0]], x[1:] - pre_emphasis * x[:-1]])
@@ -185,8 +186,8 @@ def stft_one_shot(samples, sample_rate, frame_ms=20.0, hop_ms=10.0,
     rows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
     if window == "hamming":
         rows = rows * np.hamming(frame_len)
-    mags = np.abs(np.fft.rfft(rows, n=_next_pow2(frame_len), axis=1))
-    return mags ** 2 if use_power else mags
+    spec = np.fft.rfft(rows, n=_next_pow2(frame_len), axis=1)
+    return spec.real ** 2 + spec.imag ** 2 if use_power else np.abs(spec)
 
 
 def sine_fit_amplitude(x, sample_rate, freq_hz):

@@ -83,15 +83,18 @@ def warm_peak_bytes(call, *args):
         tracemalloc.stop()
 
 
-def features_peak_bound(n_frames, frame_len=320):
+def features_peak_bound(n_frames, frame_len=320, n_filters=26, n_coefficients=13):
     """The most extract_features may allocate on n_frames frames of
-    frame_len samples (the default config: 20 ms at 16 kHz). The frames are
-    transformed _BLOCK_FRAMES at a time, so beyond the (n_frames, bins)
-    power matrix only one block is live: its windowed frames, their complex
-    spectrum and, on numpy < 2, their copy zero-padded to the FFT size, plus
-    16 KiB for the array objects around them."""
+    frame_len samples (the default config: 20 ms at 16 kHz, 26 filters, 13
+    coefficients). The frames stream through the front end _BLOCK_FRAMES at
+    a time, so only the (n_frames, n_filters) energies grow with the clip.
+    Beside them is live either one block or, at the end, the (n_frames,
+    n_coefficients) MFCC rows. A block is its zero-padded frames, their
+    power, and either their complex spectrum or the three buffers of
+    np.getbufsize() values that numpy's ufunc loop allocates to window the
+    strided frames. 16 KiB covers the array objects around them."""
     fft_size = next_pow2(frame_len)
     bins = fft_size // 2 + 1
-    padded = fft_size if FFT_PADS_INPUT else 0
-    block = _BLOCK_FRAMES * (frame_len + padded + 2 * bins) * 8
-    return n_frames * bins * 8 + block + 16 * 1024
+    block = (_BLOCK_FRAMES * (fft_size + bins) * 8
+             + max(_BLOCK_FRAMES * bins * 16, 3 * np.getbufsize() * 8))
+    return n_frames * n_filters * 8 + max(block, n_frames * n_coefficients * 8) + 16 * 1024

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,11 +96,28 @@ def test_too_short_audio_raises():
     assert extract_features(random_buffer(2, 320)).n_frames == 1
 
 
-def test_extract_features_peak_is_its_power_matrix_plus_one_block():
-    # 6 s at 16 kHz: 599 frames of 320 samples, each block's working set
-    # as features_peak_bound states it. A transform of all frames at once
-    # peaks at about 4x the power matrix (5.2 MB here with numpy 2.4).
-    assert warm_peak_bytes(extract_features, random_buffer(5, 6 * SR)) <= features_peak_bound(599)
+@pytest.mark.parametrize("seconds", [6, 60])
+def test_extract_features_peak_is_its_energies_plus_one_block(seconds):
+    # 599 or 5999 frames of 320 samples at 16 kHz, streamed one block at a
+    # time as features_peak_bound states it. The whole power matrix, built
+    # before the product, peaked at 1.45 and 13.6 MB here (numpy 2.4).
+    n_frames = (seconds * SR - 320) // 160 + 1
+    peak = warm_peak_bytes(extract_features, random_buffer(5, seconds * SR))
+    assert peak <= features_peak_bound(n_frames)
+
+
+def test_too_many_filters_are_refused_before_any_transform():
+    # the bank's bin rule needs only the frame length and the rate, so a
+    # 60 s clip is refused without its 12 MB spectrum being built
+    audio = random_buffer(7, 60 * SR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_filters must be in"):
+            mel_energies(audio, FeatureConfig(n_filters=10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024
 
 
 # --- spectral content --------------------------------------------------------

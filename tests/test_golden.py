@@ -40,8 +40,8 @@ GOLDEN = {
     "simulate-transparent": "3543aefff8e01334d1b6abd694071aef5c8a22dd2ed0845a3221b91ff0587bb1",
     "simulate-harsh": "89587e30e5698768316ce88d14efe4e91d91974f98a952e5f20bf8685231fbb3",
     "improved_attack-concatenation": "94a9f55ef76f6d93ab5b7c2aaf651796d58cc36ce13232d597cfb2b50f253240",
-    "extract_features-mfcc": "5ff7fd105851a7c52ca7414cf55bf12ff170538390f9c4ef68f6278bdebc985f",
-    "extract_features-mfsc": "18b60a76b09dec3287c973eac5e117f4c1dca22d1d1a1d19fa60c3f3dc7f08c8",
+    "extract_features-mfcc": "541c29e8888ff5d3b068245cfda5e08ed08be70305dbf9336ee76716e7fe06e8",
+    "extract_features-mfsc": "666042f3291dab101bc31b0712bf652bf8b205db1f1d2cebadbd55b9012a6c28",
     "canonicalize-44100": "8f7a98c0301450589bcada3bd19469f2399f09b1dad0b55bca8b02f807cf13b6",
     "generic_attack-winner": "82e92273c1d444d7f7eeb2b130c5edd5209964e8480ce693e394f6a56ee354be",
     "generic_attack-winner-write_wav": "0bf28b6b79c8a0cad5789fc1643da61d5fffc0c3be0edb5be724725043bae815",
