@@ -9,6 +9,7 @@ silently truncating, and transport failures consume nothing.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -199,12 +200,15 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
     ExhaustionReport when the schedule or the budget runs out. Running out
     of budget mid-schedule is a normal outcome here, not an exception. Every
     point is checked at the source's rate before the first query (a bad one
-    raises ValueError), and each candidate is rendered only when a query is
-    spent on it. The report keeps a QueryRecord per query, not the audio,
-    so the search holds no more than two renders at any budget.
+    raises ValueError), only the points the budget can reach are ranked,
+    and each candidate is rendered only when a query is spent on it. The
+    report keeps a QueryRecord per query, not the audio, so the search
+    holds no more than two renders at any budget.
     """
     _check_search(schedule, source.sample_rate, backend)
-    return _first_accepted(backend, _ranked_candidates(source, schedule))
+    # nsmallest keeps sorted's order, ties included
+    queryable = heapq.nsmallest(backend.queries_remaining, schedule, key=distortion_key)
+    return _first_accepted(backend, _ranked_candidates(source, queryable))
 
 
 def improved_attack(words: list[AudioBuffer], per_word_variants: int,

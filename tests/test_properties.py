@@ -678,6 +678,13 @@ def outcome(search, backend):
 
 @attack_bounded
 @given(schedule=schedules, budget=down_from(8, 1), cut=st.integers(0, len(POOL) + 1))
+# schedules longer than the budget whose cut falls inside a tie: the lazy
+# search ranks only the budget's worth of points, and must keep the tied
+# point that comes first in the schedule, every query rejected or not
+@example(schedule=[POOL[1], POOL[2], POOL[0]], budget=1, cut=0)
+@example(schedule=[POOL[4], POOL[3], POOL[1], POOL[0]], budget=3, cut=0)
+@example(schedule=[POOL[6], POOL[4], POOL[2], POOL[3], POOL[5]], budget=2, cut=0)
+@example(schedule=[POOL[6], POOL[4], POOL[2], POOL[3], POOL[5]], budget=2, cut=len(POOL) + 1)
 def test_generic_attack_matches_eager_reference(schedule, budget, cut):
     source = concat(words(201, 202))
     threshold = cuts(201, 202)[cut]
