@@ -42,7 +42,7 @@ class FeatureConfig:
     n_filters: int = 26
     n_coefficients: int = 13      # MFCC only; MFSC keeps all n_filters
     include_dct: bool = True      # True -> MFCC, False -> MFSC (log energies)
-    use_power: bool = True        # magnitude-squared spectrum vs magnitude
+    use_power: bool = True        # power re^2 + im^2 vs magnitude |X|
     pre_emphasis: float = 0.0     # 0 disables; typical speech value 0.97
 
     def __post_init__(self):
