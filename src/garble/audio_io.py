@@ -51,7 +51,7 @@ class AudioBuffer:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("AudioBuffer samples must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("AudioBuffer samples must be finite")
         if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
             raise ValueError("sample_rate must be a positive integer")
@@ -76,7 +76,7 @@ class AudioBuffer:
         report every rescale instead of clipping. A non-finite peak raises the
         constructor's ValueError; the caller guarantees the rest, as for
         _of_checked."""
-        peak = float(np.max(np.abs(samples), initial=0.0))
+        peak = float(np.abs(samples).max(initial=0.0))
         if not np.isfinite(peak):
             raise ValueError("AudioBuffer samples must be finite")
         if peak <= 1.0:
@@ -146,7 +146,7 @@ def read_wav(data: bytes) -> AudioBuffer:
         samples /= _PCM_FULL_SCALE
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        if not np.all(np.isfinite(raw)):  # before the cast, which warns on signalling NaN
+        if not np.isfinite(raw).all():  # before the cast, which warns on signalling NaN
             raise WavFormatError("float-32 data contains NaN or infinity")
         samples = raw.astype(np.float64)
     else:
@@ -170,7 +170,7 @@ def write_wav(audio: AudioBuffer) -> bytes:
     if audio.sample_rate > 0x7FFFFFFF:  # the header's byte rate, 2 * rate, is 32-bit
         raise ValueError(f"sample rate {audio.sample_rate} does not fit a WAV header")
     q = audio.samples * _PCM_FULL_SCALE
-    np.round(q, out=q)
+    np.rint(q, out=q)  # what np.round runs at 0 decimals
     np.clip(q, -32768, 32767, out=q)
     payload = q.astype("<i2").tobytes()
     header = struct.pack(

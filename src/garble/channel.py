@@ -136,7 +136,7 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
 
     if math.isfinite(config.snr_db) and len(out):
         noise, p_noise = _unit_noise(config.seed, len(out))
-        p_sig = float(np.mean(out ** 2))
+        p_sig = float(np.add.reduce(np.square(out)) / len(out))
         if p_sig > 0.0 and p_noise > 0.0:  # silence gets none; never divide by 0
             out = out + noise * (math.sqrt(p_sig / p_noise) * 10.0 ** (-config.snr_db / 20.0))
 

@@ -65,7 +65,8 @@ def checked_seed(seed) -> int:
 
 
 def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
-    """Read-only (n_frames, length) strided view of the full frames of x.
+    """Read-only (n_frames, length) strided view of the full frames of x
+    (of a contiguous copy of x when x is not contiguous).
 
     Frames start at 0, hop, 2*hop, ... and only those that fit whole are
     included, so input shorter than one frame gives zero rows. To cover
@@ -74,11 +75,13 @@ def frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     """
     if length < 1 or hop < 1:
         raise ValueError("length and hop must be >= 1")
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x)
     n_frames = (len(x) - length) // hop + 1 if len(x) >= length else 0
-    step = x.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        x, (n_frames, length), (hop * step, step), writeable=False)
+    step = x.itemsize
+    # the view as_strided would build, without its Python-level set-up
+    view = np.ndarray((n_frames, length), x.dtype, buffer=x, strides=(hop * step, step))
+    view.flags.writeable = False
+    return view
 
 
 def tiles(x: np.ndarray, length: int) -> list[np.ndarray]:

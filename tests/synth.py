@@ -56,6 +56,76 @@ def burst_fixture(seed, duration_s=2.0, spans=((0.3, 0.8), (1.2, 1.7)),
     return AudioBuffer(x, sr), tuple(spans)
 
 
+# mean adult-male F1-F3 in Hz of five vowels (Peterson & Barney, "Control
+# methods used in a study of the vowels", JASA 24(2), 1952): /i/, /E/, /A/,
+# /O/, /u/
+VOWEL_FORMANTS = ((270.0, 2290.0, 3010.0), (530.0, 1840.0, 2480.0), (730.0, 1090.0, 2440.0),
+                  (570.0, 840.0, 2410.0), (300.0, 870.0, 2240.0))
+FORMANT_BANDWIDTHS = (60.0, 90.0, 150.0)  # Hz, F1 to F3
+
+
+def _cascade_response(formants, n_fft, sr):
+    """Frequency response, on the rfft grid of n_fft, of three two-pole
+    resonators in cascade, each of unit gain at 0 Hz: the cascade branch of
+    Klatt, "Software for a cascade/parallel formant synthesizer", JASA
+    67(3), 1980."""
+    z1 = np.exp(-2j * np.pi * np.fft.rfftfreq(n_fft))  # z^-1 on the grid
+    h = np.ones(len(z1), dtype=complex)
+    for f, bw in zip(formants, FORMANT_BANDWIDTHS):
+        c = -np.exp(-2.0 * np.pi * bw / sr)
+        b = 2.0 * np.exp(-np.pi * bw / sr) * np.cos(2.0 * np.pi * f / sr)
+        h *= (1.0 - b - c) / (1.0 - b * z1 - c * z1 * z1)
+    return h
+
+
+def voiced_utterance(seed, words=(0.3, 0.3, 0.3), gap_s=0.15, floor_db=None,
+                     sr=SR, peak=0.35, edge_ms=10.0):
+    """Vowel-like "words" of the given durations (s), each gap_s after the
+    last and the last followed by gap_s more; returns (buffer, word spans).
+
+    One F0 in 100-180 Hz is drawn per utterance, with 1 % Gaussian jitter
+    on every glottal period. A word is two vowels drawn from
+    VOWEL_FORMANTS, each half the word: its impulse train through the
+    three-resonator cascade, left to ring on to the word's end. Word edges
+    get the raised-cosine ramp of burst_fixture inside the span, and the
+    whole is scaled to the given peak. The gaps are digital silence; a
+    floor_db adds white Gaussian noise throughout, floor_db dB relative to
+    the mean-square level of the words.
+    """
+    rng = np.random.default_rng(seed)
+    period = sr / rng.uniform(100.0, 180.0)
+    spans, t = [], gap_s
+    for duration in words:
+        spans.append((t, t + duration))
+        t += duration + gap_s
+    x = np.zeros(int(round(t * sr)))
+    edge = int(round(edge_ms * sr / 1000.0))
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
+    for w0, w1 in spans:
+        i0, i1 = int(round(w0 * sr)), int(round(w1 * sr))
+        m = i1 - i0
+        n_fft = next_pow2(2 * m)  # the rings past m decay long before they wrap
+        word = np.zeros(m)
+        for v0, v1 in ((0, m // 2), (m // 2, m)):
+            pulses = np.zeros(m - v0)
+            pos = rng.uniform(0.0, period)
+            while pos < v1 - v0:
+                pulses[int(pos)] = 1.0
+                pos += period * (1.0 + 0.01 * rng.standard_normal())
+            formants = VOWEL_FORMANTS[rng.integers(len(VOWEL_FORMANTS))]
+            spec = np.fft.rfft(pulses, n_fft) * _cascade_response(formants, n_fft, sr)
+            word[v0:] += np.fft.irfft(spec, n_fft)[:m - v0]
+        word[:edge] *= ramp
+        word[-edge:] *= ramp[::-1]
+        x[i0:i1] = word
+    x *= peak / np.max(np.abs(x))
+    if floor_db is not None:
+        level = np.mean(np.concatenate([x[int(round(a * sr)):int(round(b * sr))]
+                                        for a, b in spans]) ** 2)
+        x = x + rng.standard_normal(len(x)) * np.sqrt(level * 10.0 ** (floor_db / 10.0))
+    return AudioBuffer(x, sr), tuple(spans)
+
+
 def sine_buffer(freq_hz, duration_s=1.0, sr=SR, amp=0.5, phase=0.0):
     t = np.arange(int(round(duration_s * sr))) / sr
     return AudioBuffer(amp * np.sin(2.0 * np.pi * freq_hz * t + phase), sr)

@@ -31,9 +31,10 @@ from garble.cli import format_manifest_line, parse_manifest_line
 from garble.dsp import (_fast_len, apply_fir, frames, lowpass_length, tiles,
                         window_ms_to_samples)
 from garble.features import (_BLOCK_FRAMES, _LOG_FLOOR, FeatureConfig, _dct_rows,
-                             extract_features, feature_distance, mel_filterbank, spectrum)
+                             FeatureMatrix, extract_features, feature_distance,
+                             mel_filterbank, spectrum)
 from garble.perturb import PerturbationParams, apply_params, check_params, hfa, rpg, tdi, ts
-from garble.vad import detect_speech, frame_energies
+from garble.vad import _percentile, detect_speech, frame_energies
 from oracles import (
     apply_fir_direct,
     detect_speech_loop,
@@ -120,6 +121,34 @@ def test_rpg_matches_window_loop(n, window_ms, seed):
 def test_vad_energies_match_frame_loop(n, frame_len, seed):
     x = signal(n, seed)
     assert frame_energies(x, frame_len).tobytes() == vad_energies_loop(x, frame_len).tobytes()
+
+
+@bounded
+@given(n=st.integers(1, 2000), distinct=st.integers(1, 2000), zeros=st.booleans(), seed=seeds)
+@example(n=1, distinct=1, zeros=False, seed=0)     # a single value
+@example(n=11, distinct=3, zeros=True, seed=0)     # ties and zeros
+@example(n=2000, distinct=2000, zeros=False, seed=0)
+def test_vad_percentile_is_numpys_bit_for_bit(n, distinct, zeros, seed):
+    # energies-like values: non-negative, drawn from `distinct` levels so
+    # that small level counts give ties, with zeros mixed in on request
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, distinct)[rng.integers(0, distinct, n)] ** 4
+    if zeros:
+        values[rng.random(n) < 0.3] = 0.0
+    want = np.percentile(values, 10)
+    assert np.float64(_percentile(values, 10)).tobytes() == want.tobytes()
+
+
+@bounded
+@given(n_a=st.integers(1, 300), n_b=st.integers(1, 300), width=st.integers(1, 40), seed=seeds)
+@example(n_a=1, n_b=1, width=1, seed=0)
+def test_feature_distance_is_the_mean_of_frame_norms_bit_for_bit(n_a, n_b, width, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (FeatureMatrix(rng.normal(0.0, 10.0, (rows, width)), FeatureConfig(), SR)
+            for rows in (n_a, n_b))
+    n = min(n_a, n_b)
+    want = float(np.mean(np.linalg.norm(a.data[:n] - b.data[:n], axis=1)))
+    assert np.float64(feature_distance(a, b)).tobytes() == np.float64(want).tobytes()
 
 
 @bounded

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from garble.audio_io import AudioBuffer
-from garble.perturb import rpg, tdi
-from garble.vad import SpeechRegion, detect_speech, format_regions
-from synth import SR, band_noise, burst_fixture
+from garble.audio_io import AudioBuffer, write_wav
+from garble.channel import PRESETS, simulate
+from garble.features import extract_features, feature_distance
+from garble.perturb import PerturbationParams, apply_params, rpg, tdi
+from garble.vad import FRAME_MS, HANGOVER_FRAMES, SpeechRegion, detect_speech, format_regions
+from synth import SR, band_noise, burst_fixture, voiced_utterance
 
 
 def one_burst(span=(0.5, 1.0), duration_s=2.0, seed=101, amp=0.5):
@@ -125,6 +127,52 @@ def test_regions_survive_perturbation():
         for have, want in zip(got, base):
             assert abs(have.start_s - want.start_s) <= 0.02 + 1e-9
             assert abs(have.end_s - want.end_s) <= 0.02 + 1e-9
+
+
+@pytest.mark.parametrize("floor_db", [None, -40.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_voiced_word_is_one_region_ending_a_hangover_late(seed, floor_db):
+    # three two-vowel words between digital silence or a white floor 40 dB
+    # under them: one region per word, its start on the onset and its end
+    # HANGOVER_FRAMES frames past the offset, each within one frame
+    buf, words = voiced_utterance(seed, floor_db=floor_db)
+    regions = detect_speech(buf)
+    frame_s = FRAME_MS / 1000.0
+    assert len(regions) == len(words)
+    for region, (start, end) in zip(regions, words):
+        assert abs(region.start_s - start) <= frame_s + 1e-9
+        assert abs(region.end_s - (end + HANGOVER_FRAMES * frame_s)) <= frame_s + 1e-9
+
+
+def test_an_aired_query_and_a_sweep_render_call_no_numpy_reduction_helper(monkeypatch):
+    # inside the query loop numpy's Python-level helpers cost several times
+    # their isolated time, so the per-query and per-render paths reduce with
+    # ufuncs. Each path is run once first, so that no cached table is built
+    # under the patch
+    source, _ = burst_fixture(105, duration_s=1.0, spans=((0.2, 0.7),))
+    channel = PRESETS["harsh"]
+    reference = extract_features(simulate(source, channel)[0])
+    aired = PerturbationParams(tdi_window_ms=2.0, rpg_window_ms=2.0, rpg_seed=7)
+    swept = PerturbationParams(tdi_window_ms=2.0, rpg_window_ms=1.0, rpg_seed=7,
+                               hfa_components=((7500.0, 0.1),), ts_factor_percent=150.0)
+
+    def aired_query():
+        heard, _scale = simulate(apply_params(source, aired), channel)
+        return detect_speech(heard), feature_distance(extract_features(heard), reference)
+
+    def sweep_render():
+        return write_wav(apply_params(source, swept))
+
+    want = aired_query(), sweep_render()
+    assert want[0][0]  # the gate passes, so the query reaches the features
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy reduction helper ran on the per-query path")
+
+    monkeypatch.setattr(np, "percentile", refuse)
+    monkeypatch.setattr(np, "mean", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    assert (aired_query(), sweep_render()) == want
 
 
 def test_format_regions():
