@@ -9,7 +9,11 @@ NaN and infinity; package code skips that scan (AudioBuffer._of_checked)
 only for samples already known to be finite: PCM-16 codes and float-32
 data read_wav has checked, and selections and permutations of a checked
 buffer's samples. AudioBuffer._renormalized finds the peak of samples
-that may have overflowed, which is the same check.
+that may have overflowed, which is the same check: hfa and
+channel.simulate build their output with it, so it also covers the
+simulator's FIR, whose array kernel checks nothing. rpg and canonicalize
+keep the constructor's scan, since their FFT and interpolation can
+overflow on samples near the float64 maximum.
 """
 
 from __future__ import annotations

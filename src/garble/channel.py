@@ -116,9 +116,12 @@ def simulate(audio: AudioBuffer, config: ChannelConfig) -> tuple[AudioBuffer, fl
 
     Returns (output, scale): scale < 1.0 when the result had to be
     renormalized to keep |sample| <= 1. Noise is white Gaussian from a
-    generator seeded by config.seed, scaled so the clean-vs-noisy power
-    ratio equals snr_db exactly (a silent clip gets none); identical
-    (audio, config) always produce identical output.
+    generator seeded by config.seed, scaled by the amplitude gain
+    sqrt(p_sig / p_noise) * 10 ** (-snr_db / 20), where p_sig is the mean
+    power of the band-limited, reverberated signal and p_noise that of the
+    drawn noise, so the clean-vs-noisy power ratio equals snr_db to
+    rounding (a silent or empty clip gets none); identical (audio, config)
+    always produce identical output.
 
     The band-pass taps are built once per (band_low, band_high, sample
     rate), and the unscaled noise and its power once per (seed, length),

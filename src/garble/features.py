@@ -52,8 +52,6 @@ class FeatureConfig:
             raise ValueError("frame_ms and hop_ms must be positive and finite")
         if not math.isfinite(self.pre_emphasis):
             raise ValueError("pre_emphasis must be finite")
-        if self.n_filters < 1:
-            raise ValueError("n_filters must be >= 1")
         if self.include_dct and not 1 <= self.n_coefficients <= self.n_filters:
             raise ValueError("need 1 <= n_coefficients <= n_filters")
 
@@ -190,10 +188,10 @@ def mel_energies(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) ->
     """Per-frame filterbank energies before the log (n_frames x n_filters).
 
     The cached mel_filterbank is fetched before the first transform, so a
-    config with more filters than bins is refused before any spectrum is
-    computed. Each block of spectrum rows is then weighted by the bank in
-    its own product, written into the preallocated energies, so memory is
-    these energies plus one block."""
+    filter count outside [1, bins], the rule mel_filterbank owns, is
+    refused before any spectrum is computed. Each block of spectrum rows
+    is then weighted by the bank in its own product, written into the
+    preallocated energies, so memory is these energies plus one block."""
     blocks = _spectrum_blocks(audio, config)
     n_frames, fft_size = next(blocks)
     bank = mel_filterbank(config.n_filters, fft_size, audio.sample_rate)

@@ -31,7 +31,9 @@ from .dsp import cached_table, checked_seed, tiles, window_ms_to_samples
 
 def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
     """Reverse every consecutive window; a partial tail reverses at its own
-    length. Applying tdi twice with the same window is the exact identity."""
+    length. Applying tdi twice with the same window is the exact identity.
+    The output is two copies: one strided copy of the full windows, each
+    reversed, and one of the reversed tail."""
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     x = audio.samples
     # tdi writes into its own output reshaped to windows, so it reads its

@@ -266,20 +266,23 @@ def vad_energies_loop(x, frame_len):
     return energies
 
 
-def detect_speech_loop(audio):
+def detect_speech_loop(audio, frame_ms=vad.FRAME_MS, percentile=vad.FLOOR_PERCENTILE,
+                       cap_db=vad.FLOOR_CAP_DB, margin_db=vad.MARGIN_DB,
+                       hangover=vad.HANGOVER_FRAMES, min_region_ms=vad.MIN_REGION_MS):
     """vad.detect_speech with its active runs found by a per-frame loop;
-    energies, floor, margin and hangover are the package's own."""
+    energies are the package's own, and the frame, floor, margin, hangover
+    and minimum region are the package's unless given."""
     x = audio.samples
-    frame_len = window_ms_to_samples(vad.FRAME_MS, audio.sample_rate)
+    frame_len = window_ms_to_samples(frame_ms, audio.sample_rate)
     if len(x) == 0:
         return []
     energies = vad.frame_energies(x, frame_len)
     n_frames = len(energies)
-    floor = min(float(np.percentile(energies, vad.FLOOR_PERCENTILE)),
-                float(np.max(energies)) / (10.0 ** (vad.FLOOR_CAP_DB / 10.0)))
-    raw = energies > floor * (10.0 ** (vad.MARGIN_DB / 10.0))
+    floor = min(float(np.percentile(energies, percentile)),
+                float(np.max(energies)) / (10.0 ** (cap_db / 10.0)))
+    raw = energies > floor * (10.0 ** (margin_db / 10.0))
     active = raw.copy()
-    for k in range(1, vad.HANGOVER_FRAMES + 1):
+    for k in range(1, hangover + 1):
         active[k:] |= raw[:-k]
 
     regions = []
@@ -297,7 +300,7 @@ def detect_speech_loop(audio):
     for i0, i1 in regions:
         start_s = i0 * frame_len / audio.sample_rate
         end_s = min(i1 * frame_len, len(x)) / audio.sample_rate
-        if end_s - start_s >= vad.MIN_REGION_MS / 1000.0:
+        if end_s - start_s >= min_region_ms / 1000.0:
             out.append(vad.SpeechRegion(start_s, end_s))
     return out
 

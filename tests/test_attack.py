@@ -1,9 +1,7 @@
 import dataclasses
 import json
 import socket
-import threading
 import unicodedata
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -499,51 +497,10 @@ def test_phrase_matches_allows_two_edits_per_word_by_default():
 # --- remote backend ----------------------------------------------------------------
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
-        self.server.requests.append(
-            {"headers": dict(self.headers), "body": body, "path": self.path})
-        idx = min(len(self.server.requests) - 1, len(self.server.responses) - 1)
-        status, payload = self.server.responses[idx]
-        if status is None:  # raw bytes, not even a status line
-            self.wfile.write(payload)
-            return
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *_args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.requests = []
-    server.responses = [(200, b"{}")]
-    # a short poll, so shutdown() returns at once instead of after 0.5 s
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                              daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def _url(server):
-    return f"http://127.0.0.1:{server.server_address[1]}/transcribe"
-
-
 def test_remote_backend_roundtrip(stub_server):
     stub_server.responses = [
         (200, json.dumps({"result": [{"transcript": "open the door"}]}).encode())]
-    config = RemoteConfig(url=_url(stub_server),
+    config = RemoteConfig(url=stub_server.url,
                           transcript_json_path="result.0.transcript", budget=3)
     backend = RemoteTranscriber(config, "open the door")
     audio = band_noise(80, duration_s=0.1)
@@ -560,7 +517,7 @@ def test_remote_backend_roundtrip(stub_server):
 def test_remote_backend_sends_bearer_token(stub_server, monkeypatch):
     stub_server.responses = [(200, json.dumps({"transcript": "nope"}).encode())]
     monkeypatch.setenv("STT_TOKEN", "sekret")
-    config = RemoteConfig(url=_url(stub_server), auth_env="STT_TOKEN")
+    config = RemoteConfig(url=stub_server.url, auth_env="STT_TOKEN")
     backend = RemoteTranscriber(config, "open the door")
     verdict = backend.transcribe(band_noise(81, duration_s=0.1))
     assert not verdict.accepted and verdict.transcript == "nope"
@@ -569,7 +526,7 @@ def test_remote_backend_sends_bearer_token(stub_server, monkeypatch):
 
 def test_remote_backend_missing_token_costs_nothing(stub_server, monkeypatch):
     monkeypatch.delenv("NO_SUCH_TOKEN", raising=False)
-    config = RemoteConfig(url=_url(stub_server), auth_env="NO_SUCH_TOKEN")
+    config = RemoteConfig(url=stub_server.url, auth_env="NO_SUCH_TOKEN")
     backend = RemoteTranscriber(config, "x")
     with pytest.raises(BackendError):
         backend.transcribe(band_noise(82, duration_s=0.1))
@@ -592,7 +549,7 @@ def test_remote_backend_unreachable_costs_nothing():
 
 
 def test_remote_backend_bad_responses_cost_nothing(stub_server):
-    config = RemoteConfig(url=_url(stub_server))
+    config = RemoteConfig(url=stub_server.url)
     audio = band_noise(84, duration_s=0.05)
 
     stub_server.responses = [(200, b"this is not json")]
@@ -629,14 +586,14 @@ def test_remote_backend_unwalkable_transcript_path_costs_nothing(
         stub_server, tmp_path, wav_on_disk, capsys, path, document):
     stub_server.responses = [(200, json.dumps(document).encode())]
     backend = RemoteTranscriber(
-        RemoteConfig(url=_url(stub_server), transcript_json_path=path), "open the door")
+        RemoteConfig(url=stub_server.url, transcript_json_path=path), "open the door")
     with pytest.raises(BackendError, match="unusable response"):
         backend.transcribe(band_noise(87, duration_s=0.05))
     assert backend.queries_used == 0
     # the CLI reports a backend error and stops at the first response
     stub_server.requests.clear()
     config_path = tmp_path / "stt.json"
-    config_path.write_text(json.dumps({"url": _url(stub_server),
+    config_path.write_text(json.dumps({"url": stub_server.url,
                                        "transcript_json_path": path}))
     src = wav_on_disk(band_noise(88, duration_s=0.2))
     assert main(["attack", str(src), "--target-phrase", "open the door",
@@ -647,7 +604,7 @@ def test_remote_backend_unwalkable_transcript_path_costs_nothing(
 
 def test_remote_backend_http_error_costs_nothing(stub_server):
     stub_server.responses = [(500, b"boom")]
-    backend = RemoteTranscriber(RemoteConfig(url=_url(stub_server)), "x")
+    backend = RemoteTranscriber(RemoteConfig(url=stub_server.url), "x")
     with pytest.raises(BackendError):
         backend.transcribe(band_noise(85, duration_s=0.05))
     assert backend.queries_used == 0
@@ -658,14 +615,14 @@ def test_remote_backend_malformed_response_costs_nothing(stub_server, tmp_path,
     # an answer with no HTTP status line makes http.client raise
     # BadStatusLine, which is not an OSError
     stub_server.responses = [(None, b"garbage\r\n\r\n")]
-    backend = RemoteTranscriber(RemoteConfig(url=_url(stub_server)), "open the door")
+    backend = RemoteTranscriber(RemoteConfig(url=stub_server.url), "open the door")
     with pytest.raises(BackendError, match="transport failure"):
         backend.transcribe(band_noise(89, duration_s=0.05))
     assert backend.queries_used == 0
     # the CLI reports a backend error, without a traceback, and stops there
     stub_server.requests.clear()
     config_path = tmp_path / "stt.json"
-    config_path.write_text(json.dumps({"url": _url(stub_server)}))
+    config_path.write_text(json.dumps({"url": stub_server.url}))
     src = wav_on_disk(band_noise(90, duration_s=0.2))
     assert main(["attack", str(src), "--target-phrase", "open the door",
                  "--backend", f"remote:{config_path}"]) == 1
@@ -723,7 +680,7 @@ def test_remote_backend_rejects_a_target_phrase_with_no_words(stub_server, phras
     stub_server.responses = [(200, json.dumps({"transcript": ""}).encode())]
     assert phrase_matches("", phrase)
     with pytest.raises(ValueError, match="no words"):
-        RemoteTranscriber(RemoteConfig(url=_url(stub_server)), phrase)
+        RemoteTranscriber(RemoteConfig(url=stub_server.url), phrase)
     assert stub_server.requests == []
 
 
@@ -733,7 +690,7 @@ def test_generic_attack_over_remote_backend(stub_server):
     accept = json.dumps({"transcript": "open the dor"}).encode()
     stub_server.responses = [(200, reject), (200, reject), (200, accept)]
     backend = RemoteTranscriber(
-        RemoteConfig(url=_url(stub_server), budget=10), "open the door")
+        RemoteConfig(url=stub_server.url, budget=10), "open the door")
     ref = band_noise(86, duration_s=0.2)
     result = generic_attack(ref, backend, tdi_probe_schedule(count=5))
     assert isinstance(result, AttackCandidate)

@@ -23,7 +23,7 @@ from garble.cli import (
 from garble.features import extract_features
 from garble.perturb import (PerturbationParams, apply_params, expand_grid, ParamGrid,
                             tdi_probe_schedule)
-from synth import band_noise, burst_fixture, sine_buffer
+from synth import band_noise, burst_fixture, random_buffer, sine_buffer
 
 
 # --- argument micro-parsers ---------------------------------------------------
@@ -289,6 +289,17 @@ def test_attack_exhaustion_exits_1(tmp_path, wav_on_disk, capsys):
     assert not (tmp_path / "in.attack.wav").exists()
 
 
+def test_an_exhausted_attack_exits_1_in_one_line_and_writes_nothing(tmp_path, wav_on_disk,
+                                                                    capsys):
+    # the default ten-rung ladder against a zero threshold rejects every query
+    src = wav_on_disk(band_noise(3, duration_s=0.4))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    assert main(["attack", str(src), "--target-phrase", "x",
+                 "--backend", f"mock:{src}:0"]) == 1
+    assert capsys.readouterr() == ("", "no candidate accepted (queries=10)\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("flag, want", [([], 3), (["--budget", "10"], 10)])
 def test_attack_budget_flag_overrides_remote_config(tmp_path, wav_on_disk, capsys,
                                                     monkeypatch, flag, want):
@@ -337,6 +348,18 @@ def test_spectrogram_writes_pgm(tmp_path, wav_on_disk):
     assert width == (8000 - 320) // 160 + 1
     assert len(rest) == width * height
     assert max(rest) == 255  # the per-file peak maps to full white
+
+
+def test_a_60_s_clip_streams_through_features_and_spectrogram(tmp_path, wav_on_disk,
+                                                              capsys):
+    # 5999 frames: 187 full blocks of the streamed front end and a 15-frame
+    # tail, one text line and one image column each
+    src = wav_on_disk(random_buffer(5, 60 * 16000))
+    assert main(["features", str(src)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5999
+    dst = tmp_path / "long.pgm"
+    assert main(["spectrogram", str(src), str(dst)]) == 0
+    assert dst.read_bytes().startswith(b"P5\n5999 257\n255\n")
 
 
 def test_spectrogram_puts_high_frequencies_on_top_over_80_db(tmp_path, wav_on_disk):
@@ -451,6 +474,8 @@ EXIT_2_CASES = [
      "component amplitudes sum to inf"),
     ("features-junk-file", "features {dir}/junk.wav", "not a RIFF/WAVE stream"),
     ("features-empty-wav", "features {dir}/empty.wav", "shorter than one analysis frame"),
+    ("features-mfsc-no-filters", "features {src} --mfsc --n-filters 0",
+     "n_filters must be in [1, 257] (FFT bins), got 0"),
     ("compare-window-zero", "compare {src} {src} --window-ms 0", WINDOW),
     ("compare-window-negative", "compare {src} {src} --window-ms -5", WINDOW),
     ("vad-missing-file", "vad {dir}/missing.wav",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,8 +215,10 @@ def test_config_validation():
         FeatureConfig(n_coefficients=0)
     # MFSC computes no coefficients, so their count is not checked
     assert FeatureConfig(include_dct=False, n_filters=10).n_filters == 10
-    with pytest.raises(ValueError):
-        FeatureConfig(include_dct=False, n_filters=0)
+    # mel_filterbank owns the whole [1, bins] filter rule
+    no_filters = FeatureConfig(include_dct=False, n_filters=0)
+    with pytest.raises(ValueError, match=re.escape("n_filters must be in [1, 257]")):
+        extract_features(band_noise(25, duration_s=0.1), no_filters)
 
 
 def test_to_text_roundtrip():

@@ -2,10 +2,13 @@
 
 Each row is one render: every transform of test_properties' TRANSFORMS
 table on one clip, extract_features at the default config and at MFSC,
-canonicalize from 44.1 kHz (TRANSFORMS holds the 48 kHz resample and the
-harsh channel), and a mock generic_attack's winner with its write_wav
-bytes. A change that moves any output byte fails its row here; a change
-that means to move one updates that row and names it in CHANGES.md.
+spectrum at the default (power) config and in magnitude, as garble
+spectrogram draws it, canonicalize from 44.1 kHz (TRANSFORMS holds the
+48 kHz resample and the harsh channel), detect_speech's regions on a burst
+fixture, max_window_magnitude_diff of a clip against its tdi, and a mock
+generic_attack's winner with its write_wav bytes. A change that moves any
+output byte fails its row here; a change that means to move one updates
+that row and names it in CHANGES.md.
 
 Float results depend on the numpy and Python builds, so the table records
 the versions that made it, and under any others every row skips and names
@@ -20,9 +23,11 @@ import pytest
 
 from garble.attack import AttackCandidate, MockOracle, generic_attack
 from garble.audio_io import AudioBuffer, canonicalize, write_wav
-from garble.features import FeatureConfig, extract_features
-from garble.perturb import tdi_probe_schedule
-from synth import SR, band_noise
+from garble.features import (FeatureConfig, extract_features, max_window_magnitude_diff,
+                              spectrum)
+from garble.perturb import tdi, tdi_probe_schedule
+from garble.vad import detect_speech
+from synth import SR, band_noise, burst_fixture
 from test_properties import TRANSFORMS, signal
 
 MADE_WITH = {"numpy": "2.4.6", "python": "3.11.7"}
@@ -42,6 +47,10 @@ GOLDEN = {
     "improved_attack-concatenation": "94a9f55ef76f6d93ab5b7c2aaf651796d58cc36ce13232d597cfb2b50f253240",
     "extract_features-mfcc": "541c29e8888ff5d3b068245cfda5e08ed08be70305dbf9336ee76716e7fe06e8",
     "extract_features-mfsc": "666042f3291dab101bc31b0712bf652bf8b205db1f1d2cebadbd55b9012a6c28",
+    "spectrum-power": "bac11d4b36fa171e2064b7d242e122d49024a2e35ab9fe74ae6bcc0705c9f5a7",
+    "spectrum-magnitude": "63223d603995f5416ede2aa1de5880b9086a76899f1581f05c3a2fefcdc0431c",
+    "detect_speech-burst_fixture": "2545074a6e75930bcb60ca842d5ab37f4ee0f0cdd1838066bc06e0a46b05af23",
+    "max_window_magnitude_diff-tdi": "84a15dd2d10b13deea4c249d2657ac459339ea0a39e8f4b6c91dced76afda093",
     "canonicalize-44100": "8f7a98c0301450589bcada3bd19469f2399f09b1dad0b55bca8b02f807cf13b6",
     "generic_attack-winner": "82e92273c1d444d7f7eeb2b130c5edd5209964e8480ce693e394f6a56ee354be",
     "generic_attack-winner-write_wav": "0bf28b6b79c8a0cad5789fc1643da61d5fffc0c3be0edb5be724725043bae815",
@@ -84,6 +93,13 @@ RENDERS = {
     "extract_features-mfcc": lambda: digest(extract_features(band_noise(37, 1.0)).data),
     "extract_features-mfsc": lambda: digest(extract_features(
         band_noise(37, 1.0), FeatureConfig(include_dct=False)).data),
+    "spectrum-power": lambda: digest(spectrum(band_noise(37, 1.0))),
+    "spectrum-magnitude": lambda: digest(spectrum(
+        band_noise(37, 1.0), FeatureConfig(use_power=False))),
+    "detect_speech-burst_fixture": lambda: digest(
+        [(r.start_s, r.end_s) for r in detect_speech(burst_fixture(43)[0])]),
+    "max_window_magnitude_diff-tdi": lambda: digest(
+        max_window_magnitude_diff(CLIP, tdi(CLIP, 20.0), 20.0)),
     "canonicalize-44100": lambda: buffer_digest(canonicalize(
         AudioBuffer(0.5 * signal(4410, 41), 44100))),
     "generic_attack-winner": lambda: digest(*attack_winner()),
