@@ -72,7 +72,10 @@ def parse_hfa(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def format_manifest_line(filename: str, params: PerturbationParams) -> str:
-    """filename<TAB>key=value... - parses back losslessly (repr floats)."""
+    """filename<TAB>key=value... - parses back losslessly (repr floats).
+    A filename holding a tab, or any character str.splitlines breaks a
+    line at, would not parse back and raises ValueError."""
+    _check_manifest_name(filename)
     parts = [filename]
     if params.tdi_window_ms is not None:
         parts.append(f"tdi_ms={params.tdi_window_ms!r}")
@@ -85,6 +88,11 @@ def format_manifest_line(filename: str, params: PerturbationParams) -> str:
     if params.ts_factor_percent is not None:
         parts.append(f"ts={params.ts_factor_percent!r}")
     return "\t".join(parts)
+
+
+def _check_manifest_name(name: str):
+    if "\t" in name or len(f"{name}.".splitlines()) > 1:
+        raise ValueError(f"manifest filename {name!r} holds a tab or a line break")
 
 
 # each manifest key: the PerturbationParams field it sets, and its parser
@@ -143,6 +151,8 @@ def cmd_sweep(args) -> int:
     if size > _MAX_POINTS:
         raise ValueError(f"the sweep grid ({' x '.join(options)}) has {size} points, "
                          f"more than {_MAX_POINTS}")
+    stem = Path(args.input).stem
+    _check_manifest_name(stem)  # before any directory or file is made
     audio = _load(args.input)
     grid = ParamGrid(tdi_window_ms=tdi, rpg_window_ms=rpg,
                      hfa_components=(parse_hfa(args.hfa),) if args.hfa else ((),),
@@ -152,7 +162,6 @@ def cmd_sweep(args) -> int:
         check_params(params, audio.sample_rate)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
     lines = []
     for i, params in enumerate(points):
         name = f"{stem}_{i:04d}.wav"

@@ -29,7 +29,8 @@ from garble.audio_io import AudioBuffer, read_wav
 from garble.cli import main
 from garble.features import has_frames
 from garble.perturb import PerturbationParams, apply_params, tdi_probe_schedule
-from synth import SR, band_noise, features_peak_bound, random_buffer, warm_peak_bytes
+from synth import (SR, band_noise, features_peak_bound, random_buffer, voiced_utterance,
+                   warm_peak_bytes)
 
 
 # --- budget bookkeeping -------------------------------------------------------
@@ -75,6 +76,25 @@ def test_mock_oracle_rejects_white_noise_at_calibrated_threshold():
     backend = MockOracle(ref, "ok", threshold=(near + far) / 2.0)
     assert not backend.transcribe(noise).accepted
     assert backend.transcribe(scrambled).accepted
+
+
+@pytest.mark.parametrize("floor_db, least", [(None, 3.7), (-40.0, 2.2)],
+                         ids=["silent-gaps", "floor-40-db"])
+def test_noise_sits_further_from_a_voiced_utterance_than_any_rung(floor_db, least):
+    # the nearest of five RMS-matched Gaussian noises over the farthest tdi or
+    # rpg rung of the 1.0-5.5 ms ladder. Measured minimum over seeds 1-3:
+    # 3.78 with digital-silence gaps, 2.23 with a white floor 40 dB under
+    # the words; each bound is that minimum rounded down to one decimal
+    for seed in (1, 2, 3):
+        clip, _ = voiced_utterance(seed, floor_db=floor_db)
+        oracle = MockOracle(clip, "x", threshold=np.inf)
+        rungs = [PerturbationParams(**{axis: 1.0 + 0.5 * i}, rpg_seed=7)
+                 for axis in ("tdi_window_ms", "rpg_window_ms") for i in range(10)]
+        farthest = max(oracle.distance_to_reference(apply_params(clip, p)) for p in rungs)
+        rms = np.sqrt(np.mean(clip.samples ** 2))
+        nearest = min(oracle.distance_to_reference(AudioBuffer(
+            np.random.default_rng(k).normal(0.0, rms, len(clip)), SR)) for k in range(5))
+        assert nearest / farthest >= least, seed
 
 
 # --- distortion ordering --------------------------------------------------------

@@ -18,13 +18,6 @@ from oracles import measure_snr, sine_fit_amplitude
 from synth import FFT_PADS_INPUT, SR, band_noise, random_buffer, sine_buffer, warm_peak_bytes
 
 
-def test_transparent_preset_is_exact_identity():
-    buf = band_noise(50)
-    out, scale = simulate(buf, PRESETS["transparent"])
-    assert scale == 1.0
-    assert np.array_equal(out.samples, buf.samples)
-
-
 def test_noise_snr_is_calibrated_exactly():
     buf = band_noise(51)
     for snr in [10.0, 20.0, 30.0]:
@@ -86,16 +79,6 @@ def test_renormalization_reports_scale():
     assert np.max(np.abs(out.samples)) <= 1.0 + 1e-12
 
 
-def test_harsh_preset_composition():
-    buf = band_noise(54, duration_s=1.0)
-    out, _ = simulate(buf, PRESETS["harsh"])
-    assert len(out) == len(buf)
-    # 20 dB SNR target, but reverb/filtering shifts measured SNR vs input;
-    # sanity bounds only
-    got = measure_snr(buf, out)
-    assert 0.0 < got < 25.0
-
-
 def test_invalid_bands_rejected():
     buf = random_buffer(55, 1000)
     with pytest.raises(ValueError):
@@ -150,15 +133,6 @@ def test_reverb_delay_past_the_float_range_rejected():
     config = ChannelConfig(reverb_taps=2, reverb_delay_ms=1e306)
     with pytest.raises(ValueError, match="reverb_delay_ms"):
         simulate(random_buffer(58, 1000), config)
-
-
-def test_lowest_snr_still_simulates():
-    # at -3080 dB the noise power is 1e308 times the signal's, the largest
-    # power of ten a float holds; below it the config is rejected
-    out, scale = simulate(random_buffer(59, 1000), ChannelConfig(snr_db=-3080.0))
-    assert np.all(np.isfinite(out.samples)) and scale < 1.0
-    with pytest.raises(ValueError, match="snr_db"):
-        ChannelConfig(snr_db=-3080.5)
 
 
 def test_lowest_snr_on_a_loud_reverberant_clip_stays_finite():

@@ -60,34 +60,7 @@ def test_filterbank_matches_reference_construction():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_filterbank_needs_a_filter():
-    with pytest.raises(ValueError):
-        mel_filterbank(0, 512, SR)
-
-
-def test_filterbank_has_no_more_filters_than_bins():
-    # 512-point FFT: 257 bins, so at most 257 filters, refused before any
-    # array is built
-    assert mel_filterbank(257, 512, SR).shape == (257, 257)
-    with pytest.raises(ValueError, match=r"n_filters must be in \[1, 257\]"):
-        mel_filterbank(258, 512, SR)
-    with pytest.raises(ValueError, match=r"n_filters must be in \[1, 1\]"):
-        mel_filterbank(2, 1, SR)
-
-
 # --- framing laws ------------------------------------------------------------
-
-
-def test_frame_count_law():
-    feats = extract_features(random_buffer(1, 16000))
-    assert feats.n_frames == 99
-    assert feats.data.shape == (99, 13)
-    # randomized lengths follow (len - frame) // hop + 1
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        n = int(rng.integers(320, 30000))
-        feats = extract_features(AudioBuffer(rng.uniform(-0.5, 0.5, n), SR))
-        assert feats.n_frames == (n - 320) // 160 + 1
 
 
 def test_too_short_audio_raises():
@@ -130,15 +103,6 @@ def test_sine_peaks_in_nearest_filter():
     centers = mel_centers(FeatureConfig.n_filters, SR)
     nearest = int(np.argmin(np.abs(centers - 1000.0)))
     assert np.all(energies.argmax(axis=1) == nearest)
-
-
-def test_zero_signal_features():
-    feats = extract_features(AudioBuffer(np.zeros(16000), SR))
-    # all energies hit the log floor; DCT of a constant vector is
-    # (sqrt(n) * c, 0, ..., 0)
-    want0 = np.sqrt(26.0) * np.log(1e-10)
-    assert np.allclose(feats.data[:, 0], want0, rtol=0, atol=1e-8)
-    assert np.max(np.abs(feats.data[:, 1:])) < 1e-9
 
 
 def test_mfcc_matches_bruteforce_reference():

@@ -559,10 +559,12 @@ def test_pcm16_payload_reencodes_byte_for_byte(codes, rate):
 
 
 manifest_floats = st.floats(allow_nan=False)
+# the characters str.splitlines breaks a line at, as Python's docs list them
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @bounded
-@given(name=st.text("abcxyz0189._-", max_size=20),
+@given(name=st.text(max_size=20),
        params=st.builds(PerturbationParams,
                         tdi_window_ms=st.none() | manifest_floats,
                         rpg_window_ms=st.none() | manifest_floats,
@@ -570,7 +572,16 @@ manifest_floats = st.floats(allow_nan=False)
                         hfa_components=st.lists(st.tuples(manifest_floats, manifest_floats),
                                                 max_size=3).map(tuple),
                         ts_factor_percent=st.none() | manifest_floats))
+@example(name="a\tb_0000.wav", params=PerturbationParams(tdi_window_ms=1.0))
+@example(name="a b.wav", params=PerturbationParams())
+@example(name="a\r", params=PerturbationParams())
+@example(name="", params=PerturbationParams())
 def test_manifest_line_roundtrip(name, params):
+    # a name with a tab or a line break would not parse back, so it is refused
+    if any(c in "\t" + LINE_BREAKS for c in name):
+        with pytest.raises(ValueError, match="tab or a line break"):
+            format_manifest_line(name, params)
+        return
     got_name, got = parse_manifest_line(format_manifest_line(name, params) + "\n")
     assert got_name == name
     if params.rpg_window_ms is None:

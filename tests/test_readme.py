@@ -219,7 +219,8 @@ def filter_count_rule(frame_ms, least, most):
 
 @row("`n_filters` range")
 def test_filter_count_range(cell):
-    for frame_ms in (10.0, 20.0, 25.0, 33.0):
+    # 0.0625 ms is a one-sample frame, whose one-point FFT has one bin
+    for frame_ms in (0.0625, 10.0, 20.0, 25.0, 33.0):
         least, most = formula(cell, frame_samples=round(frame_ms * SR / 1000))
         filter_count_rule(frame_ms, least, most)
 
