@@ -46,7 +46,8 @@ class TranscriberVerdict:
 class QueryRecord:
     """One query without its audio: params (a tuple per word for a
     concatenation), distortion_rank (0 is worst-sounding) and verdict.
-    apply_params re-renders the audio byte for byte from (source, params)."""
+    apply_params re-renders the audio byte for byte from (source, params),
+    so a search keeps these and holds at most two candidates' audio."""
 
     params: PerturbationParams | tuple[PerturbationParams, ...]
     distortion_rank: int
@@ -152,12 +153,25 @@ def distortion_key(params: PerturbationParams) -> tuple[float, float, float]:
     return (min_window, -ts_factor, -hfa_total)
 
 
-def _ranked_candidates(audio: AudioBuffer, schedule: list[PerturbationParams]):
-    """Yield (params, distortion_rank, audio) over the schedule worst-sounding
-    first, rendering each point only when it is drawn. Ties keep schedule
-    order; distortion_rank is 0, 1, ..."""
-    for rank, params in enumerate(sorted(schedule, key=distortion_key)):
-        yield params, rank, apply_params(audio, params)
+def _ranked_variants(audio: AudioBuffer, schedule: list[PerturbationParams],
+                     limit: int, threshold: float):
+    """Yield up to limit (params, audio) pairs over the schedule worst-sounding
+    first, ties in schedule order, rendering each point only when it is
+    drawn. A finite threshold keeps only the variants MockOracle(audio, "",
+    threshold) would accept, and raises ValueError when it keeps none; with
+    no filter only the first limit points are ranked."""
+    if math.isfinite(threshold):
+        ref, points = extract_features(audio), sorted(schedule, key=distortion_key)
+    else:  # nsmallest keeps sorted's order, ties included
+        ref, points = None, heapq.nsmallest(limit, schedule, key=distortion_key)
+    variants = ((params, apply_params(audio, params)) for params in points)
+    if ref is not None:  # filter holds no render it has dropped
+        variants = filter(lambda pair: _accepts(pair[1], ref, threshold), variants)
+    kept = 0
+    for kept, pair in enumerate(itertools.islice(variants, limit), 1):
+        yield pair
+    if not kept:
+        raise ValueError("a word has no variants under the feature threshold")
 
 
 def _first_accepted(backend: TranscriberBackend, candidates):
@@ -168,8 +182,8 @@ def _first_accepted(backend: TranscriberBackend, candidates):
     A candidate is drawn only when a query is left to spend on it: every
     transcribe() spends exactly one query or raises, so the budget left on
     entry bounds the draws. A rejected candidate is kept as a QueryRecord
-    and its audio dropped, so at most two renders are alive at once: the
-    candidate last judged and the one being drawn.
+    and its audio dropped, so at most two candidates are alive at once: the
+    one last judged and the one being drawn.
     """
     issued = []
     for params, rank, audio in itertools.islice(candidates, backend.queries_remaining):
@@ -180,35 +194,22 @@ def _first_accepted(backend: TranscriberBackend, candidates):
     return ExhaustionReport(tuple(issued))
 
 
-def _check_search(schedule: list[PerturbationParams], rate: int,
-                  backend: TranscriberBackend):
-    """The set-up both searches check before the first query: a nonempty
-    schedule, every point valid at rate, and a backend with no spent queries."""
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    for params in schedule:
-        check_params(params, rate)
-    if backend.queries_used != 0:
-        raise ValueError("backend session already has spent queries")
-
-
 def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
                    schedule: list[PerturbationParams]):
-    """Probe the schedule worst-sounding first.
-
-    Returns the first accepted query as an AttackCandidate, or an
-    ExhaustionReport when the schedule or the budget runs out. Running out
-    of budget mid-schedule is a normal outcome here, not an exception. Every
-    point is checked at the source's rate before the first query (a bad one
-    raises ValueError), only the points the budget can reach are ranked,
-    and each candidate is rendered only when a query is spent on it. The
-    report keeps a QueryRecord per query, not the audio, so the search
-    holds no more than two renders at any budget.
-    """
-    _check_search(schedule, source.sample_rate, backend)
-    # nsmallest keeps sorted's order, ties included
-    queryable = heapq.nsmallest(backend.queries_remaining, schedule, key=distortion_key)
-    return _first_accepted(backend, _ranked_candidates(source, queryable))
+    """Probe the schedule worst-sounding first: improved_attack over the one
+    word [source] with k = backend.budget, each params out of its 1-tuple.
+    Returns the first accepted query as an AttackCandidate, or, when the
+    schedule or the budget runs out (not an exception here), an
+    ExhaustionReport. Every point is checked at the source's rate before
+    the first query (ValueError); only the points the budget can reach are
+    ranked, a candidate is rendered only when a query is spent on it, and
+    the search holds at most two renders at any budget."""
+    found = improved_attack([source], backend.budget, backend, schedule)
+    if isinstance(found, AttackCandidate):  # unwrap each 1-tuple of params
+        return AttackCandidate(*found.params, found.distortion_rank, found.verdict,
+                               found.audio)
+    return ExhaustionReport(tuple(QueryRecord(*r.params, r.distortion_rank, r.verdict)
+                                  for r in found.candidates))
 
 
 def improved_attack(words: list[AudioBuffer], per_word_variants: int,
@@ -221,8 +222,10 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     per-word distortion rank. Same return contract as generic_attack, and
     every point is checked before the first query, rendered or not.
     feature_threshold must be >= 0; the default +inf keeps every variant.
-    Beside the n*k kept variants, the query loop holds at most two
-    concatenations, as generic_attack holds two renders.
+    The later words' k variants are rendered before the first query and the
+    first word's as the queries reach them; one word is never concatenated.
+    The search holds the later words' k variants, the first word's variant
+    in use and at most two candidates: with one word, two renders.
     """
     if not words:
         raise ValueError("words must be nonempty")
@@ -232,26 +235,23 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
         raise ValueError("words must share one sample rate")
     if not feature_threshold >= 0:  # NaN fails too
         raise ValueError("feature_threshold must be >= 0")
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
     rate = words[0].sample_rate
-    _check_search(schedule, rate, backend)
+    for params in schedule:
+        check_params(params, rate)
+    if backend.queries_used != 0:
+        raise ValueError("backend session already has spent queries")
 
-    per_word = []
-    for word in words:
-        variants = _ranked_candidates(word, schedule)
-        if math.isfinite(feature_threshold):
-            ref = extract_features(word)
-            variants = ((params, rank, audio) for params, rank, audio in variants
-                        if _accepts(audio, ref, feature_threshold))
-        kept = list(itertools.islice(variants, per_word_variants))
-        if not kept:
-            raise ValueError("a word has no variants under the feature threshold")
-        per_word.append(kept)
-
-    combos = ((tuple(params for params, _, _ in combo), rank,
-               AudioBuffer._of_checked(  # checked samples, only rearranged
-                   np.concatenate([audio.samples for _, _, audio in combo]), rate))
-              for rank, combo in enumerate(itertools.product(*per_word)))
-    return _first_accepted(backend, combos)
+    head, *tail = [_ranked_variants(word, schedule, per_word_variants, feature_threshold)
+                   for word in words]
+    tail = [list(variants) for variants in tail]
+    combos = ((first, *rest) for first in head for rest in itertools.product(*tail))
+    candidates = ((tuple(params for params, _ in combo), rank, combo[0][1] if len(combo) == 1
+                   else AudioBuffer._of_checked(  # checked samples, only rearranged
+                       np.concatenate([audio.samples for _, audio in combo]), rate))
+                  for rank, combo in enumerate(combos))
+    return _first_accepted(backend, candidates)
 
 
 # --- remote HTTP backend ----------------------------------------------------

@@ -74,7 +74,9 @@ def parse_hfa(text: str) -> tuple[tuple[float, float], ...]:
 def format_manifest_line(filename: str, params: PerturbationParams) -> str:
     """filename<TAB>key=value... - parses back losslessly (repr floats).
     A filename holding a tab, or any character str.splitlines breaks a
-    line at, would not parse back and raises ValueError."""
+    line at, would not parse back, and one that does not encode as UTF-8
+    (an undecodable byte of a file name) cannot be written: each raises
+    ValueError."""
     _check_manifest_name(filename)
     parts = [filename]
     if params.tdi_window_ms is not None:
@@ -93,6 +95,10 @@ def format_manifest_line(filename: str, params: PerturbationParams) -> str:
 def _check_manifest_name(name: str):
     if "\t" in name or len(f"{name}.".splitlines()) > 1:
         raise ValueError(f"manifest filename {name!r} holds a tab or a line break")
+    try:
+        name.encode("utf-8")  # the manifest is written as UTF-8
+    except UnicodeEncodeError:
+        raise ValueError(f"manifest filename {name!r} does not encode as UTF-8") from None
 
 
 # each manifest key: the PerturbationParams field it sets, and its parser

@@ -203,29 +203,25 @@ def test_an_exhaustion_report_holds_no_audio():
         assert audio_reachable(search(MockOracle(ref, "x", threshold=np.inf)))
 
 
-def test_an_exhausted_generic_attack_holds_two_renders_at_most():
+@pytest.mark.parametrize("search", [
+    generic_attack,
+    lambda source, backend, schedule: improved_attack([source], 10, backend, schedule),
+], ids=["generic_attack", "improved_attack"])
+def test_an_exhausted_one_word_search_holds_two_renders_at_most(search):
     # 10 s at 16 kHz and the default ten-rung ladder, every query rejected:
     # the search holds the candidate being judged and the one being
-    # rendered, so beyond the source and two renders its peak is the
-    # oracle's extract_features working set on 999 frames, plus 16 KiB for
-    # the records. A report of every render would hold ten (12.8 MB).
+    # rendered, so its peak is two renders (the source is allocated before
+    # the measure starts) plus the oracle's extract_features working set on
+    # 999 frames and 16 KiB for the records: measured about 2.005 renders
+    # against this 2.495. One more render alive would pass 3, and a report
+    # of every render, or ten eager variants, would hold ten (12.8 MB)
     source = random_buffer(68, 10 * SR)
     backends = iter([MockOracle(source, "x", threshold=0.0) for _ in range(2)])
     schedule = tdi_probe_schedule()
     assert len(schedule) == 10
     render = len(source) * source.samples.itemsize
-    peak = warm_peak_bytes(lambda: generic_attack(source, next(backends), schedule))
-    assert peak <= 3 * render + features_peak_bound(999) + 16 * 1024
-
-
-def test_generic_attack_validates_inputs():
-    ref = band_noise(66, duration_s=0.5)
-    backend = MockOracle(ref, "x", threshold=np.inf)
-    with pytest.raises(ValueError):
-        generic_attack(ref, backend, [])
-    backend.transcribe(ref)  # spend one query
-    with pytest.raises(ValueError):
-        generic_attack(ref, backend, tdi_probe_schedule(count=2))
+    peak = warm_peak_bytes(lambda: search(source, next(backends), schedule))
+    assert peak <= 2 * render + features_peak_bound(999) + 16 * 1024
 
 
 @pytest.fixture
@@ -282,6 +278,22 @@ def test_a_bad_point_ranked_last_fails_before_any_query(render_count, bad):
             search(backend)
         assert backend.queries_used == 0
     assert render_count == []
+
+
+def test_a_query_calls_the_feature_functions_the_module_holds(monkeypatch):
+    # bench/tracer.py counts the feature layer by patching these module
+    # attributes: a search that bound them early would zero its counts
+    ref, schedule, threshold, _ = attackable_fixture()
+    backend = MockOracle(ref, "x", threshold)
+    calls = []
+    for name in ("extract_features", "feature_distance"):
+        def counting(*args, _name=name, _real=getattr(garble.attack, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(garble.attack, name, counting)
+    assert generic_attack(ref, backend, schedule).distortion_rank == 2
+    assert backend.queries_used == 3
+    assert calls == ["extract_features", "feature_distance"] * 3
 
 
 def test_generic_attack_deterministic():
@@ -448,6 +460,7 @@ def test_improved_attack_keeps_what_the_mock_oracle_accepts(seed):
 
 
 def test_improved_attack_validates_inputs():
+    # both entry points, generic_attack being improved_attack over one word
     word = band_noise(75, duration_s=0.25)
     backend = MockOracle(word, "x", threshold=np.inf)
     with pytest.raises(ValueError):
@@ -456,6 +469,8 @@ def test_improved_attack_validates_inputs():
         improved_attack([word], 0, backend, tdi_probe_schedule(count=2))
     with pytest.raises(ValueError):
         improved_attack([word], 2, backend, [])
+    with pytest.raises(ValueError):
+        generic_attack(word, backend, [])
     other_rate = AudioBuffer(word.samples, 8000)
     with pytest.raises(ValueError):
         improved_attack([word, other_rate], 2, backend, tdi_probe_schedule(count=2))
@@ -463,6 +478,12 @@ def test_improved_attack_validates_inputs():
         with pytest.raises(ValueError, match="feature_threshold"):
             improved_attack([word], 2, backend, tdi_probe_schedule(count=2),
                             feature_threshold=threshold)
+    backend.transcribe(word)  # spend one query
+    for search in (lambda: generic_attack(word, backend, tdi_probe_schedule(count=2)),
+                   lambda: improved_attack([word], 2, backend, tdi_probe_schedule(count=2))):
+        with pytest.raises(ValueError, match="spent queries"):
+            search()
+    assert backend.queries_used == 1
 
 
 # --- phrase matching --------------------------------------------------------------

@@ -121,15 +121,21 @@ def test_sweep_writes_grid_and_manifest(tmp_path, wav_on_disk, capsys):
         assert (outdir / name).read_bytes() == write_wav(apply_params(loaded, params))
 
 
-@pytest.mark.parametrize("name", ["a\tb.wav", "a\nb.wav"], ids=["tab", "newline"])
+@pytest.mark.parametrize("name, why", [
+    ("a\tb.wav", "holds a tab or a line break"),
+    ("a\nb.wav", "holds a tab or a line break"),
+    # the byte 0xff of a file name, as Python decodes it
+    (os.fsdecode(b"a\xff.wav"), "does not encode as UTF-8"),
+], ids=["tab", "newline", "not-utf-8"])
 def test_sweep_refuses_an_input_name_its_manifest_cannot_hold(tmp_path, wav_on_disk, capsys,
-                                                             name):
-    # the manifest is tab-separated lines, so the stem may hold neither
+                                                             name, why):
+    # the manifest is tab-separated UTF-8 lines, so the stem may hold neither
+    # a tab nor a line break, and must encode as UTF-8
     src = wav_on_disk(band_noise(92, duration_s=0.25), name)
     assert main(["sweep", str(src), str(tmp_path / "batch"), "--tdi-ms-range", "1:2:1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith(f"error: manifest filename {name[:-4]!r} holds a tab or a line break")
+    assert err.startswith(f"error: manifest filename {name[:-4]!r} {why}")
     assert list(tmp_path.iterdir()) == [src]
 
 

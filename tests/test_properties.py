@@ -735,15 +735,21 @@ def test_generic_attack_matches_eager_reference(schedule, budget, cut):
 
 
 @attack_bounded
-@given(schedule=schedules, k=down_from(3, 1), budget=down_from(10, 1),
-       cut=st.integers(0, len(POOL) + 1), word_cut=down_from(2 * len(POOL) + 1))
-def test_improved_attack_matches_eager_reference(schedule, k, budget, cut, word_cut):
-    pair = words(203, 204)
-    threshold = cuts(203, 204)[cut]
-    # per-word filter edges: either word's candidate distances, 0 and inf
-    feature_threshold = sorted({*cuts(203), *cuts(204)})[word_cut]
-    lazy, eager = (outcome(lambda backend: search(pair, k, backend, schedule,
+@given(n=st.integers(1, 3), schedule=schedules, k=down_from(3, 1), budget=down_from(10, 1),
+       cut=st.integers(0, len(POOL) + 1), word_cut=st.integers(0, 3 * len(POOL) + 1))
+# a filter at 0 (one word has nine edges) keeps nothing of the lazily drawn word
+@example(n=1, schedule=[POOL[6], POOL[0]], k=2, budget=10, cut=0, word_cut=8)
+def test_improved_attack_matches_eager_reference(n, schedule, k, budget, cut, word_cut):
+    # one word is queried as drawn, with no concatenation; with more, the
+    # first word is drawn lazily and the later words' variants are kept
+    seeds = (203, 204, 205)[:n]
+    chosen = words(*seeds)
+    threshold = cuts(*seeds)[cut]
+    # per-word filter edges, inf first: any word's candidate distances and 0
+    edges = sorted(set().union(*(cuts(seed) for seed in seeds)))
+    feature_threshold = edges[-1 - word_cut % len(edges)]
+    lazy, eager = (outcome(lambda backend: search(chosen, k, backend, schedule,
                                                   feature_threshold=feature_threshold),
-                           MockOracle(concat(pair), "go", threshold, budget=budget))
+                           MockOracle(concat(chosen), "go", threshold, budget=budget))
                    for search in (improved_attack, improved_attack_eager))
     assert lazy == eager
