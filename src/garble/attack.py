@@ -9,7 +9,6 @@ silently truncating, and transport failures consume nothing.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -47,7 +46,9 @@ class QueryRecord:
     """One query without its audio: params (a tuple per word for a
     concatenation), distortion_rank (0 is worst-sounding) and verdict.
     apply_params re-renders the audio byte for byte from (source, params),
-    so a search keeps these and holds at most two candidates' audio."""
+    so a search keeps these: it holds each later word's drawn variants (at
+    most k each), the first word's variant in use and at most two
+    candidates, so two renders for one word."""
 
     params: PerturbationParams | tuple[PerturbationParams, ...]
     distortion_rank: int
@@ -158,14 +159,11 @@ def _ranked_variants(audio: AudioBuffer, schedule: list[PerturbationParams],
     """Yield up to limit (params, audio) pairs over the schedule worst-sounding
     first, ties in schedule order, rendering each point only when it is
     drawn. A finite threshold keeps only the variants MockOracle(audio, "",
-    threshold) would accept, and raises ValueError when it keeps none; with
-    no filter only the first limit points are ranked."""
-    if math.isfinite(threshold):
-        ref, points = extract_features(audio), sorted(schedule, key=distortion_key)
-    else:  # nsmallest keeps sorted's order, ties included
-        ref, points = None, heapq.nsmallest(limit, schedule, key=distortion_key)
-    variants = ((params, apply_params(audio, params)) for params in points)
-    if ref is not None:  # filter holds no render it has dropped
+    threshold) would accept, and raises ValueError when it keeps none."""
+    variants = ((params, apply_params(audio, params))
+                for params in sorted(schedule, key=distortion_key))
+    if math.isfinite(threshold):  # filter holds no render it has dropped
+        ref = extract_features(audio)
         variants = filter(lambda pair: _accepts(pair[1], ref, threshold), variants)
     kept = 0
     for kept, pair in enumerate(itertools.islice(variants, limit), 1):
@@ -174,24 +172,19 @@ def _ranked_variants(audio: AudioBuffer, schedule: list[PerturbationParams],
         raise ValueError("a word has no variants under the feature threshold")
 
 
-def _first_accepted(backend: TranscriberBackend, candidates):
-    """Query (params, distortion_rank, audio) triples in order. Return the
-    first accepted one as an AttackCandidate, or an ExhaustionReport when
-    the triples or the budget run out.
-
-    A candidate is drawn only when a query is left to spend on it: every
-    transcribe() spends exactly one query or raises, so the budget left on
-    entry bounds the draws. A rejected candidate is kept as a QueryRecord
-    and its audio dropped, so at most two candidates are alive at once: the
-    one last judged and the one being drawn.
-    """
-    issued = []
-    for params, rank, audio in itertools.islice(candidates, backend.queries_remaining):
-        verdict = backend.transcribe(audio)
-        if verdict.accepted:
-            return AttackCandidate(params, rank, verdict, audio)
-        issued.append(QueryRecord(params, rank, verdict))
-    return ExhaustionReport(tuple(issued))
+def _lazy_product(first, later):
+    """itertools.product(first, *(it for it, _ in later)) in its order, each
+    item drawn when a combination first reaches it. later pairs each
+    iterator with the list of the items drawn from it so far: each pass
+    replays that list, then draws on. first's items are never kept."""
+    for item in first:
+        if not later:
+            yield (item,)
+            continue
+        (rest, kept), *deeper = later
+        drawn = itertools.chain(kept, (kept.append(x) or x for x in rest))
+        for tail in _lazy_product(drawn, deeper):
+            yield (item, *tail)
 
 
 def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
@@ -201,8 +194,7 @@ def generic_attack(source: AudioBuffer, backend: TranscriberBackend,
     Returns the first accepted query as an AttackCandidate, or, when the
     schedule or the budget runs out (not an exception here), an
     ExhaustionReport. Every point is checked at the source's rate before
-    the first query (ValueError); only the points the budget can reach are
-    ranked, a candidate is rendered only when a query is spent on it, and
+    the first query (ValueError); only the points queried are rendered, and
     the search holds at most two renders at any budget."""
     found = improved_attack([source], backend.budget, backend, schedule)
     if isinstance(found, AttackCandidate):  # unwrap each 1-tuple of params
@@ -217,15 +209,14 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
                     feature_threshold: float = math.inf):
     """Per-word variant search: each word is perturbed on the schedule, and
     its k worst-sounding variants that MockOracle(word, "", feature_threshold)
-    would accept are kept, rendered worst-sounding first and only until k
-    pass. The k^n concatenations are then queried in lexicographic order of
-    per-word distortion rank. Same return contract as generic_attack, and
-    every point is checked before the first query, rendered or not.
-    feature_threshold must be >= 0; the default +inf keeps every variant.
-    The later words' k variants are rendered before the first query and the
-    first word's as the queries reach them; one word is never concatenated.
-    The search holds the later words' k variants, the first word's variant
-    in use and at most two candidates: with one word, two renders.
+    would accept are its candidates. The k^n concatenations are queried in
+    lexicographic order of per-word distortion rank, and a word's variant is
+    rendered (and filtered) when a combination first reaches it. Same return
+    contract as generic_attack, and every point is checked before the first
+    query, rendered or not. feature_threshold must be >= 0; the default +inf
+    keeps every variant. One word is never concatenated. The search holds
+    each later word's drawn variants (at most k each), the first word's
+    variant in use and at most two candidates: two renders for one word.
     """
     if not words:
         raise ValueError("words must be nonempty")
@@ -243,15 +234,24 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
     if backend.queries_used != 0:
         raise ValueError("backend session already has spent queries")
 
-    head, *tail = [_ranked_variants(word, schedule, per_word_variants, feature_threshold)
-                   for word in words]
-    tail = [list(variants) for variants in tail]
-    combos = ((first, *rest) for first in head for rest in itertools.product(*tail))
-    candidates = ((tuple(params for params, _ in combo), rank, combo[0][1] if len(combo) == 1
-                   else AudioBuffer._of_checked(  # checked samples, only rearranged
-                       np.concatenate([audio.samples for _, audio in combo]), rate))
-                  for rank, combo in enumerate(combos))
-    return _first_accepted(backend, candidates)
+    first, *later = [_ranked_variants(word, schedule, per_word_variants, feature_threshold)
+                     for word in words]
+    combos = _lazy_product(first, [(rest, []) for rest in later])
+    # A combination is drawn only when a query is left to spend on it: every
+    # transcribe() spends exactly one query or raises, so the budget left on
+    # entry bounds the draws. A rejected candidate is kept as a QueryRecord
+    # and its audio dropped, so at most two candidates are alive at once: the
+    # one last judged and the one being drawn.
+    issued = []
+    for rank, combo in enumerate(itertools.islice(combos, backend.queries_remaining)):
+        params = tuple(p for p, _ in combo)
+        audio = combo[0][1] if len(combo) == 1 else AudioBuffer._of_checked(
+            np.concatenate([a.samples for _, a in combo]), rate)  # checked, only rearranged
+        verdict = backend.transcribe(audio)
+        if verdict.accepted:
+            return AttackCandidate(params, rank, verdict, audio)
+        issued.append(QueryRecord(params, rank, verdict))
+    return ExhaustionReport(tuple(issued))
 
 
 # --- remote HTTP backend ----------------------------------------------------

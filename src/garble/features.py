@@ -20,8 +20,13 @@ from .dsp import cached_table, frames, next_pow2, tiles, window_ms_to_samples
 
 _ANALYSIS_WINDOWS = ("hamming", "rectangular")
 _LOG_FLOOR = 1e-10  # absolute floor on filterbank energies before the log
-# frames the front end windows, transforms and weights at a time: of 16, 32,
-# 48, 64 and 160, 32 was fastest on attack_line, and memory grows with it
+# frames the front end windows, transforms and weights at a time. Against 32
+# (in-process A/B, seed 301, 60 ops x 8 rounds), attack_line read 64 at -4 %,
+# 80 at -9 % and 128 at +19 % with 671 minor page faults per op; attack_air
+# read 80 at +2 % with 262 faults per op, where 32 has none. bench/run.py put
+# 80 ahead on attack_line (op_cost.p50 1.248 -> 1.190) and behind on
+# attack_air in 4 of 4 pairs. Other sizes also move feature bits: 64 fails
+# test_golden's extract_features rows.
 _BLOCK_FRAMES = 32
 
 
@@ -50,8 +55,9 @@ class FeatureConfig:
             raise ValueError(f"analysis_window must be one of {_ANALYSIS_WINDOWS}")
         if not (0 < self.frame_ms < math.inf and 0 < self.hop_ms < math.inf):
             raise ValueError("frame_ms and hop_ms must be positive and finite")
-        if not math.isfinite(self.pre_emphasis):
-            raise ValueError("pre_emphasis must be finite")
+        if not -1 <= self.pre_emphasis <= 1:  # NaN fails too
+            raise ValueError(
+                f"pre_emphasis must be finite and in [-1, 1], got {self.pre_emphasis}")
         if self.include_dct and not 1 <= self.n_coefficients <= self.n_filters:
             raise ValueError("need 1 <= n_coefficients <= n_filters")
 

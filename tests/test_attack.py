@@ -248,14 +248,21 @@ def test_generic_attack_renders_only_queried_candidates(render_count):
     assert len(render_count) == 3
 
 
-def test_improved_attack_renders_k_variants_per_word(render_count):
-    words = [band_noise(76, duration_s=0.25), band_noise(77, duration_s=0.25)]
-    schedule = tdi_probe_schedule(count=5)
-    result = improved_attack(words, 2, MockOracle(words[0], "x", threshold=0.0),
+@pytest.mark.parametrize("duration_s, k, count, budget, queries, rungs", [
+    # 2 per word, not the 5-point schedule, each drawn when a combination
+    # first reaches it: word 0's first variant, then word 1's two
+    (0.25, 2, 5, 10, 4, [0, 0, 1, 1]),
+    # one query draws one variant per word, not word 1's ten
+    (0.3, 10, 10, 1, 1, [0, 0]),
+], ids=["two-per-word", "one-query"])
+def test_improved_attack_renders_k_variants_per_word(render_count, duration_s, k, count,
+                                                     budget, queries, rungs):
+    words = [band_noise(76, duration_s=duration_s), band_noise(77, duration_s=duration_s)]
+    schedule = tdi_probe_schedule(count=count)
+    result = improved_attack(words, k, MockOracle(words[0], "x", threshold=0.0, budget=budget),
                              schedule)
-    assert isinstance(result, ExhaustionReport) and result.queries_used == 4
-    assert len(render_count) == 4  # 2 per word, not the 5-point schedule
-    assert render_count == [schedule[0], schedule[1]] * 2
+    assert isinstance(result, ExhaustionReport) and result.queries_used == queries
+    assert render_count == [schedule[rung] for rung in rungs]
 
 
 @pytest.mark.parametrize("bad", [

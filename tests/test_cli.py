@@ -397,6 +397,9 @@ OVERFLOW_CASES = [
     ("features", "features {src} --frame-ms 1e306", f"1e+306 {TOO_LONG}"),
     ("features-hop", "features {src} --hop-ms 1e306", f"1e+306 {TOO_LONG}"),
     ("features-hop-stride", "features {src} --hop-ms 1e17", f"1e+17 {TOO_LONG}"),
+    # a pre-emphasis this large overflows the power spectrum into NaN rows
+    ("features-pre-emphasis", "features {src} --pre-emphasis 1e300",
+     "pre_emphasis must be finite and in [-1, 1], got 1e+300"),
     ("spectrogram", "spectrogram {src} {out} --frame-ms 1e306", f"1e+306 {TOO_LONG}"),
     ("attack-start", MOCK + " --start-ms 1e306", f"1e+306 {TOO_LONG}"),
     ("simulate-reverb-delay", "simulate {src} {out} --channel {dir}/delay-huge.cfg",

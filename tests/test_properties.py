@@ -719,8 +719,8 @@ def outcome(search, backend):
 @attack_bounded
 @given(schedule=schedules, budget=down_from(8, 1), cut=st.integers(0, len(POOL) + 1))
 # schedules longer than the budget whose cut falls inside a tie: the lazy
-# search ranks only the budget's worth of points, and must keep the tied
-# point that comes first in the schedule, every query rejected or not
+# search, which renders only the budget's worth of points, must keep the
+# tied point that comes first in the schedule, every query rejected or not
 @example(schedule=[POOL[1], POOL[2], POOL[0]], budget=1, cut=0)
 @example(schedule=[POOL[4], POOL[3], POOL[1], POOL[0]], budget=3, cut=0)
 @example(schedule=[POOL[6], POOL[4], POOL[2], POOL[3], POOL[5]], budget=2, cut=0)
@@ -740,8 +740,8 @@ def test_generic_attack_matches_eager_reference(schedule, budget, cut):
 # a filter at 0 (one word has nine edges) keeps nothing of the lazily drawn word
 @example(n=1, schedule=[POOL[6], POOL[0]], k=2, budget=10, cut=0, word_cut=8)
 def test_improved_attack_matches_eager_reference(n, schedule, k, budget, cut, word_cut):
-    # one word is queried as drawn, with no concatenation; with more, the
-    # first word is drawn lazily and the later words' variants are kept
+    # one word is queried as drawn, with no concatenation; with more, every
+    # word is drawn lazily and the later words' drawn variants are kept
     seeds = (203, 204, 205)[:n]
     chosen = words(*seeds)
     threshold = cuts(*seeds)[cut]

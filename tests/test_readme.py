@@ -240,6 +240,19 @@ def test_features_text_digits(cell, wav_on_disk, capsys):
     assert capsys.readouterr().out.split() == [f"{v:.{digits}g}" for v in want.ravel()]
 
 
+@row("`pre_emphasis` coefficient")
+def test_pre_emphasis_range(cell):
+    least, most = numbers(cell)
+    # full-scale samples of alternating sign, which pre-emphasis at 1 doubles
+    loudest = AudioBuffer(np.resize([1.0, -1.0], SR // 10), SR)
+    for coefficient in (least, most):
+        rows = extract_features(loudest, FeatureConfig(pre_emphasis=coefficient)).data
+        assert np.isfinite(rows).all()
+    for coefficient in (below(least), above(most)):
+        with pytest.raises(ValueError, match=r"pre_emphasis must be finite and in"):
+            FeatureConfig(pre_emphasis=coefficient)
+
+
 # --- VAD ----------------------------------------------------------------------
 
 
