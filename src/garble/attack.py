@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, write_wav
-from .features import FeatureMatrix, extract_features, feature_distance, has_frames
+from .features import extract_features, feature_distance, has_frames
 from .perturb import PerturbationParams, apply_params, check_params
 
 DEFAULT_QUERY_BUDGET = 10
@@ -108,12 +108,6 @@ class TranscriberBackend:
         raise NotImplementedError
 
 
-def _accepts(audio: AudioBuffer, reference: FeatureMatrix, threshold: float) -> bool:
-    """MockOracle's verdict, shared with the filter of improved_attack."""
-    return has_frames(audio, reference.config) and feature_distance(
-        extract_features(audio, reference.config), reference) <= threshold
-
-
 class MockOracle(TranscriberBackend):
     """Accepts audio whose default-config MFCC distance to a reference is at
     most a threshold; stands in for a real model in tests and rehearsals.
@@ -137,10 +131,14 @@ class MockOracle(TranscriberBackend):
         ref = self._reference_features
         return feature_distance(extract_features(audio, ref.config), ref)
 
+    def _accepts(self, audio: AudioBuffer) -> bool:
+        """The verdict, also the filter of improved_attack; spends nothing."""
+        return (has_frames(audio, self._reference_features.config)
+                and self.distance_to_reference(audio) <= self.threshold)
+
     def _evaluate(self, audio: AudioBuffer) -> tuple[bool, str]:
-        if _accepts(audio, self._reference_features, self.threshold):
-            return True, self.reference_transcript
-        return False, ""
+        accepted = self._accepts(audio)
+        return accepted, self.reference_transcript if accepted else ""
 
 
 def distortion_key(params: PerturbationParams) -> tuple[float, float, float]:
@@ -158,13 +156,13 @@ def _ranked_variants(audio: AudioBuffer, schedule: list[PerturbationParams],
                      limit: int, threshold: float):
     """Yield up to limit (params, audio) pairs over the schedule worst-sounding
     first, ties in schedule order, rendering each point only when it is
-    drawn. A finite threshold keeps only the variants MockOracle(audio, "",
-    threshold) would accept, and raises ValueError when it keeps none."""
+    drawn. A finite threshold keeps only what MockOracle(audio, "",
+    threshold)._accepts, and raises ValueError when it keeps none."""
     variants = ((params, apply_params(audio, params))
                 for params in sorted(schedule, key=distortion_key))
     if math.isfinite(threshold):  # filter holds no render it has dropped
-        ref = extract_features(audio)
-        variants = filter(lambda pair: _accepts(pair[1], ref, threshold), variants)
+        judge = MockOracle(audio, "", threshold)
+        variants = filter(lambda pair: judge._accepts(pair[1]), variants)
     kept = 0
     for kept, pair in enumerate(itertools.islice(variants, limit), 1):
         yield pair
@@ -209,14 +207,15 @@ def improved_attack(words: list[AudioBuffer], per_word_variants: int,
                     feature_threshold: float = math.inf):
     """Per-word variant search: each word is perturbed on the schedule, and
     its k worst-sounding variants that MockOracle(word, "", feature_threshold)
-    would accept are its candidates. The k^n concatenations are queried in
-    lexicographic order of per-word distortion rank, and a word's variant is
-    rendered (and filtered) when a combination first reaches it. Same return
-    contract as generic_attack, and every point is checked before the first
-    query, rendered or not. feature_threshold must be >= 0; the default +inf
-    keeps every variant. One word is never concatenated. The search holds
-    each later word's drawn variants (at most k each), the first word's
-    variant in use and at most two candidates: two renders for one word.
+    accepts, by that oracle's own verdict, are its candidates. The k^n
+    concatenations are queried in lexicographic order of per-word
+    distortion rank, and a word's variant is rendered (and filtered) when a
+    combination first reaches it. Same return contract as generic_attack,
+    and every point is checked before the first query, rendered or not.
+    feature_threshold must be >= 0; the default +inf keeps every variant.
+    One word is never concatenated. The search holds each later word's
+    drawn variants (at most k each), the first word's variant in use and at
+    most two candidates: two renders for one word.
     """
     if not words:
         raise ValueError("words must be nonempty")

@@ -18,7 +18,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .dsp import cached_table, frames, next_pow2, tiles, window_ms_to_samples
 
-_ANALYSIS_WINDOWS = ("hamming", "rectangular")
+_WINDOWS = {"hamming": np.hamming, "rectangular": np.ones}  # name -> builder(length)
 _LOG_FLOOR = 1e-10  # absolute floor on filterbank energies before the log
 # frames the front end windows, transforms and weights at a time. Against 32
 # (in-process A/B, seed 301, 60 ops x 8 rounds), attack_line read 64 at -4 %,
@@ -51,8 +51,8 @@ class FeatureConfig:
     pre_emphasis: float = 0.0     # 0 disables; typical speech value 0.97
 
     def __post_init__(self):
-        if self.analysis_window not in _ANALYSIS_WINDOWS:
-            raise ValueError(f"analysis_window must be one of {_ANALYSIS_WINDOWS}")
+        if self.analysis_window not in _WINDOWS:
+            raise ValueError(f"analysis_window must be one of {tuple(_WINDOWS)}")
         if not (0 < self.frame_ms < math.inf and 0 < self.hop_ms < math.inf):
             raise ValueError("frame_ms and hop_ms must be positive and finite")
         if not -1 <= self.pre_emphasis <= 1:  # NaN fails too
@@ -102,9 +102,9 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
 
 
 @cached_table
-def _hamming(length: int) -> np.ndarray:
-    """np.hamming(length), built once per length."""
-    return np.hamming(length)
+def _window(name: str, length: int) -> np.ndarray:
+    """The analysis window of that name and length, built once per pair."""
+    return _WINDOWS[name](length)
 
 
 @cached_table
@@ -139,12 +139,12 @@ def _spectrum_blocks(audio: AudioBuffer, config: FeatureConfig):
     for each run of up to _BLOCK_FRAMES full frames from frame start on.
 
     One zero-padded (min(_BLOCK_FRAMES, n_frames), fft_size) scratch is
-    built per call: each block's windowed frames fill its first frame_len
-    columns and the columns past them stay zero, so one np.fft.rfft of the
-    scratch is the transform zero padded to the next power of two. Its
-    power (_power) or magnitude (np.abs) is written into one reused (block,
-    bins) buffer, and each block yielded is that buffer, so it holds only
-    until the next one is drawn.
+    built per call: each block's frames times its cached window (_window)
+    fill its first frame_len columns and the columns past them stay zero,
+    so one np.fft.rfft of the scratch is the transform zero padded to the
+    next power of two. Its power (_power) or magnitude (np.abs) is written
+    into one reused (block, bins) buffer, and each block yielded is that
+    buffer, so it holds only until the next one is drawn.
     """
     frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
     hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
@@ -154,7 +154,7 @@ def _spectrum_blocks(audio: AudioBuffer, config: FeatureConfig):
     if config.pre_emphasis:
         x = np.concatenate([[x[0]], x[1:] - config.pre_emphasis * x[:-1]])
     rows = frames(x, frame_len, hop)
-    window = _hamming(frame_len) if config.analysis_window == "hamming" else None
+    window = _window(config.analysis_window, frame_len)
     fft_size = next_pow2(frame_len)
     level = _power if config.use_power else np.abs
     yield len(rows), fft_size
@@ -163,10 +163,7 @@ def _spectrum_blocks(audio: AudioBuffer, config: FeatureConfig):
     for start in range(0, len(rows), _BLOCK_FRAMES):
         block = rows[start:start + _BLOCK_FRAMES]
         n = len(block)
-        if window is not None:
-            np.multiply(block, window, out=padded[:n, :frame_len])
-        else:
-            padded[:n, :frame_len] = block
+        np.multiply(block, window, out=padded[:n, :frame_len])
         # the complex block is dropped before the next block is windowed
         yield start, level(np.fft.rfft(padded[:n], axis=1), out=out[:n])
 
@@ -179,8 +176,8 @@ def spectrum(audio: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> np.
     Returns an (n_frames, fft_size//2 + 1) matrix: the blocks of
     _spectrum_blocks stacked, so memory is this matrix plus one block (plus
     a pre-emphasized copy of the clip when pre_emphasis is set). The
-    feature path never builds it; garble spectrogram draws it. The Hamming
-    window is built once per frame length (_hamming).
+    feature path never builds it; garble spectrogram draws it. The analysis
+    window is built once per name and frame length (_window).
     """
     blocks = _spectrum_blocks(audio, config)
     n_frames, fft_size = next(blocks)

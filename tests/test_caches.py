@@ -1,5 +1,5 @@
 """The per-configuration tables (band-pass taps, their spectrum, the FFT
-size, channel noise, Hamming window, mel filterbank, DCT rows, rpg's phasor
+size, channel noise, analysis window, mel filterbank, DCT rows, rpg's phasor
 stream, hfa's unit tones, ts's selection index, canonicalize's resample
 plan) are built once, each through dsp.cached_table: every cached array is
 read-only, a repeated call returns the same object, and cold and warm caches

@@ -1,17 +1,23 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import garble
 from garble.attack import BackendError, TranscriberBackend
 from garble.audio_io import AudioBuffer, read_wav, write_wav
+from garble.channel import PRESETS
 from garble.cli import (
     build_parser,
     format_manifest_line,
@@ -545,6 +551,69 @@ def test_overflowing_parameters_exit_2(exits_2_before_any_file_or_query, argv, f
 def test_a_bad_input_exits_2_before_any_file_or_query(exits_2_before_any_file_or_query,
                                                       argv, fragment):
     exits_2_before_any_file_or_query(argv, fragment)
+
+
+# every subcommand's options, each drawn from the edges of a range: zero, a
+# tiny and a huge float, both infinities, NaN and ints past 32 and 64 bits
+# (an int option refuses the floats: argparse exits 2)
+EDGE = st.sampled_from(("0", "1e-300", "1e300", "inf", "-inf", "nan", str(2**31), str(2**63)))
+SWITCH = st.none()
+
+
+def joined(n):
+    """n edges joined by colons: an F:A tone or an A:B:STEP range."""
+    return st.lists(EDGE, min_size=n, max_size=n).map(":".join)
+
+
+COMMANDS = [  # (head, options it always has, options it may have)
+    ("perturb {src} {out}/p.wav", {},
+     {"--tdi-ms": EDGE, "--rpg-ms": EDGE, "--hfa": joined(2), "--ts": EDGE, "--seed": EDGE}),
+    ("sweep {src} {out}/batch", {},
+     {"--tdi-ms-range": joined(3), "--rpg-ms-range": joined(3), "--ts-range": joined(3),
+      "--hfa": joined(2), "--seed": EDGE}),
+    ("features {src}", {},
+     {"--mfsc": SWITCH, "--frame-ms": EDGE, "--hop-ms": EDGE, "--rectangular": SWITCH,
+      "--n-filters": EDGE, "--n-coeffs": EDGE, "--magnitude": SWITCH, "--pre-emphasis": EDGE}),
+    ("compare {src} {src}", {}, {"--window-ms": EDGE}),
+    ("vad {src}", {}, {}),
+    ("simulate {src} {out}/s.wav", {"--channel": st.sampled_from(sorted(PRESETS))},
+     {"--seed": EDGE}),
+    ("attack {src} --target-phrase go", {"--backend": EDGE.map("mock:{src}:".__add__)},
+     {"--budget": EDGE, "--out": st.just("{out}/a.wav"), "--start-ms": EDGE,
+      "--step-ms": EDGE, "--count": EDGE}),
+    ("spectrogram {src} {out}/s.pgm", {}, {"--frame-ms": EDGE, "--hop-ms": EDGE}),
+]
+ARGV = st.one_of([
+    st.fixed_dictionaries(always, optional=maybe).map(
+        lambda flags, head=head: head.split() + [
+            arg for flag, value in flags.items() for arg in (flag, value) if arg is not None])
+    for head, always, maybe in COMMANDS])
+
+
+def test_the_argv_property_covers_every_subcommand():
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert [head.split()[0] for head, _, _ in COMMANDS] == list(subcommands)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGV, clip_ms=st.sampled_from((5, 100)))
+def test_any_command_line_exits_0_1_or_2(tmp_path, wav_on_disk, argv, clip_ms):
+    # on a 100 ms clip, or a 5 ms one under one analysis frame: no exception
+    # escapes main (argparse's refusal is its SystemExit 2), and an exit 2
+    # leaves nothing in the output directory
+    src = wav_on_disk(band_noise(9, duration_s=clip_ms / 1000), f"{clip_ms}.wav")
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = [arg.format(src=src, out=out) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = 2
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert not any(out.iterdir()), argv
 
 
 def test_cli_usage_error_exits_2():

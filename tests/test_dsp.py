@@ -10,7 +10,7 @@ from synth import SR, random_buffer, sine_buffer
 # --- framing ----------------------------------------------------------------
 
 
-def test_frame_signal_overlap_and_validation():
+def test_frames_overlap_and_validation():
     x = np.arange(10, dtype=np.float64)
     view = frames(x, 4, 2)
     assert view.shape == (4, 4)

@@ -1,14 +1,16 @@
 """Golden sha256 digests of fixed, seeded renders of the public paths.
 
 Each row is one render: every transform of test_properties' TRANSFORMS
-table on one clip, extract_features at the default config and at MFSC,
-spectrum at the default (power) config and in magnitude, as garble
-spectrogram draws it, canonicalize from 44.1 kHz (TRANSFORMS holds the
-48 kHz resample and the harsh channel), detect_speech's regions on a burst
-fixture, max_window_magnitude_diff of a clip against its tdi, and a mock
-generic_attack's winner with its write_wav bytes. A change that moves any
-output byte fails its row here; a change that means to move one updates
-that row and names it in CHANGES.md.
+table on one clip, extract_features at the default config, at MFSC and
+under a rectangular window, spectrum at the default (power) config and in
+magnitude, as garble spectrogram draws it, canonicalize from 44.1 kHz
+(TRANSFORMS holds the 48 kHz resample and the harsh channel),
+detect_speech's regions on a burst fixture, max_window_magnitude_diff of a
+clip against its tdi, a mock generic_attack's winner with its write_wav
+bytes, and the records and winner of an improved_attack whose feature
+threshold drops variants. A change that moves any output byte fails its
+row here; a change that means to move one updates that row and names it
+in CHANGES.md.
 
 Float results depend on the numpy and Python builds, so the table records
 the versions that made it, and under any others every row skips and names
@@ -21,7 +23,7 @@ import platform
 import numpy as np
 import pytest
 
-from garble.attack import AttackCandidate, MockOracle, generic_attack
+from garble.attack import AttackCandidate, MockOracle, generic_attack, improved_attack
 from garble.audio_io import AudioBuffer, canonicalize, write_wav
 from garble.features import (FeatureConfig, extract_features, max_window_magnitude_diff,
                               spectrum)
@@ -54,6 +56,8 @@ GOLDEN = {
     "canonicalize-44100": "8f7a98c0301450589bcada3bd19469f2399f09b1dad0b55bca8b02f807cf13b6",
     "generic_attack-winner": "82e92273c1d444d7f7eeb2b130c5edd5209964e8480ce693e394f6a56ee354be",
     "generic_attack-winner-write_wav": "0bf28b6b79c8a0cad5789fc1643da61d5fffc0c3be0edb5be724725043bae815",
+    "extract_features-rectangular": "e78ecb757167b0eb24bb36df58b51c10afbed4d7923a6a7535b75a43d993a6e7",
+    "improved_attack-filtered": "c0f0cf6c15d26001cafd10ada3415b8287558c0c5af5f54289a60ae90c055c1f",
 }
 
 
@@ -87,6 +91,24 @@ def attack_winner():
     return found.params, found.distortion_rank, found.verdict, found.audio.samples
 
 
+def filtered_attack():
+    """Two 0.3 s words on the default tdi ladder, k = 2, feature threshold
+    20: the filter drops word 0's 1.0, 1.5 and 2.0 ms rungs and word 1's
+    1.0 ms rung. A mock on the words' concatenation at threshold 0 rejects
+    all four combinations; at 19 it rejects the first two (19.19 and 19.17)
+    and accepts the third (18.76)."""
+    words = [band_noise(51, 0.3), band_noise(52, 0.3)]
+    source = AudioBuffer(np.concatenate([w.samples for w in words]), SR)
+
+    def search(threshold):
+        return improved_attack(words, 2, MockOracle(source, "go", threshold),
+                               tdi_probe_schedule(), feature_threshold=20.0)
+    records = search(0.0).candidates
+    found = search(19.0)
+    assert isinstance(found, AttackCandidate) and len(records) == 4
+    return records, found.params, found.distortion_rank, found.verdict, found.audio.samples
+
+
 RENDERS = {
     **{name: (lambda path=path: buffer_digest(path(CLIP, 0.1)))
        for name, path in TRANSFORMS.items()},
@@ -105,6 +127,9 @@ RENDERS = {
     "generic_attack-winner": lambda: digest(*attack_winner()),
     "generic_attack-winner-write_wav": lambda: digest(write_wav(
         AudioBuffer(attack_winner()[-1], SR))),
+    "extract_features-rectangular": lambda: digest(extract_features(
+        band_noise(37, 1.0), FeatureConfig(analysis_window="rectangular")).data),
+    "improved_attack-filtered": lambda: digest(*filtered_attack()),
 }
 
 
