@@ -1,6 +1,7 @@
 """Shared array kernels and rules: ms-to-samples conversion, the seed rule,
-framing and tiling, FIR low-pass design, FFT filtering and the table cache,
-on plain numpy arrays. This module imports nothing from the package."""
+framing and tiling, the runs of a mask, FIR low-pass design, FFT filtering
+and the table cache, on plain numpy arrays. This module imports nothing
+from the package."""
 
 from __future__ import annotations
 
@@ -98,6 +99,16 @@ def tiles(x: np.ndarray, length: int) -> list[np.ndarray]:
     tail = x[None, cut:]
     full.flags.writeable = tail.flags.writeable = False
     return [full, tail] if tail.size else [full]
+
+
+def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of each run of True in the 1-D bool mask, earliest
+    first, each end exclusive: the edges where the mask, padded with False
+    at both ends, changes value, starts at even and ends at odd positions
+    (np.diff of a bool array is this not_equal)."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.nonzero(padded[1:] != padded[:-1])[0]
+    return edges[0::2], edges[1::2]
 
 
 # the most taps lowpass_length gives: 128 MiB of float64 taps, and a

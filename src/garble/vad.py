@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import tiles, window_ms_to_samples
+from .dsp import tiles, true_runs, window_ms_to_samples
 
 FRAME_MS = 10.0
 MARGIN_DB = 9.0
@@ -88,12 +88,9 @@ def detect_speech(audio: AudioBuffer) -> list[SpeechRegion]:
     for k in range(1, HANGOVER_FRAMES + 1):
         active[k:] |= raw[:-k]
 
-    # run edges: starts at even, ends (exclusive) at odd positions (np.diff
-    # of a bool array is this not_equal)
-    padded = np.concatenate(([False], active, [False]))
-    edges = np.nonzero(padded[1:] != padded[:-1])[0]
-    starts = edges[0::2] * frame_len / audio.sample_rate
-    ends = np.minimum(edges[1::2] * frame_len, len(x)) / audio.sample_rate
+    first, stop = true_runs(active)
+    starts = first * frame_len / audio.sample_rate
+    ends = np.minimum(stop * frame_len, len(x)) / audio.sample_rate
     keep = ends - starts >= MIN_REGION_MS / 1000.0
     return [SpeechRegion(start_s, end_s)
             for start_s, end_s in zip(starts[keep].tolist(), ends[keep].tolist())]

@@ -156,13 +156,16 @@ def warm_peak_bytes(call, *args):
 def features_peak_bound(n_frames, frame_len=320, n_filters=26, n_coefficients=13):
     """The most extract_features may allocate on n_frames frames of
     frame_len samples (the default config: 20 ms at 16 kHz, 26 filters, 13
-    coefficients). The frames stream through the front end _BLOCK_FRAMES at
-    a time, so only the (n_frames, n_filters) energies grow with the clip.
-    Beside them is live either one block or, at the end, the (n_frames,
-    n_coefficients) MFCC rows. A block is its zero-padded frames, their
-    power, and either their complex spectrum or the three buffers of
-    np.getbufsize() values that numpy's ufunc loop allocates to window the
-    strided frames. 16 KiB covers the array objects around them."""
+    coefficients). The frames that hold a nonzero sample stream through the
+    front end in blocks of at most _BLOCK_FRAMES, read in place and never
+    gathered, so only the (n_frames, n_filters) energies grow with the
+    clip. Beside them is live either one block or, at the end, the
+    (n_frames, n_coefficients) MFCC rows; the frame scan's masks, a few
+    bytes per frame, are freed before the first block is built. A block is
+    its zero-padded frames, their power, and either their complex spectrum
+    or the three buffers of np.getbufsize() values that numpy's ufunc loop
+    allocates to window the strided frames. 16 KiB covers the array objects
+    around them."""
     fft_size = next_pow2(frame_len)
     bins = fft_size // 2 + 1
     block = (_BLOCK_FRAMES * (fft_size + bins) * 8

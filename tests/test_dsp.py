@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from garble.audio_io import AudioBuffer
-from garble.dsp import apply_fir, design_lowpass, frames, lowpass_length, next_pow2, tiles
+from garble.dsp import (apply_fir, design_lowpass, frames, lowpass_length, next_pow2, tiles,
+                        true_runs)
 from oracles import hamming_window, low_pass, measure_snr, sine_fit_amplitude
 from synth import SR, random_buffer, sine_buffer
 
@@ -23,6 +24,18 @@ def test_frames_overlap_and_validation():
         frames(x, 4, 0)
     with pytest.raises(ValueError):  # not the ZeroDivisionError of len(x) % 0
         tiles(x, 0)
+
+
+@pytest.mark.parametrize("mask, starts, ends", [
+    ([], [], []),
+    ([False, False], [], []),
+    ([True], [0], [1]),
+    ([True, True, False, True], [0, 3], [2, 4]),
+    ([False, True, True, False, False, True, False], [1, 5], [3, 6]),
+])
+def test_true_runs_gives_each_run_of_true_with_an_exclusive_end(mask, starts, ends):
+    got_starts, got_ends = true_runs(np.array(mask, dtype=bool))
+    assert got_starts.tolist() == starts and got_ends.tolist() == ends
 
 
 def test_next_pow2_table():

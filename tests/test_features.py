@@ -6,6 +6,7 @@ import pytest
 
 from garble.audio_io import AudioBuffer
 from garble.features import (
+    _LOG_FLOOR,
     FeatureConfig,
     FeatureMatrix,
     _dct_rows,
@@ -21,7 +22,7 @@ from garble.perturb import tdi
 from oracles import (dct2_reference, direct_window_mags, mel_bank_reference,
                      mfcc_reference)
 from synth import (SR, band_noise, features_peak_bound, random_buffer, sine_buffer,
-                   warm_peak_bytes)
+                   voiced_utterance, warm_peak_bytes)
 
 
 # --- mel scale and filterbank -----------------------------------------------
@@ -70,14 +71,45 @@ def test_too_short_audio_raises():
     assert extract_features(random_buffer(2, 320)).n_frames == 1
 
 
-@pytest.mark.parametrize("seconds", [6, 60])
-def test_extract_features_peak_is_its_energies_plus_one_block(seconds):
+@pytest.mark.parametrize("seconds, silent", [
+    pytest.param(6, False, id="6"), pytest.param(60, False, id="60"),
+    pytest.param(60, True, id="60-half-silent")])
+def test_extract_features_peak_is_its_energies_plus_one_block(seconds, silent):
     # 599 or 5999 frames of 320 samples at 16 kHz, streamed one block at a
     # time as features_peak_bound states it. The whole power matrix, built
-    # before the product, peaked at 1.45 and 13.6 MB here (numpy 2.4).
+    # before the product, peaked at 1.45 and 13.6 MB here (numpy 2.4). With
+    # the first half silent, a copy of the 3000 live frames alone would be
+    # 7.7 MB, so the live frames must stream in place too.
     n_frames = (seconds * SR - 320) // 160 + 1
-    peak = warm_peak_bytes(extract_features, random_buffer(5, seconds * SR))
+    x = random_buffer(5, seconds * SR).samples
+    if silent:
+        x = np.concatenate([np.zeros(len(x) // 2), x[len(x) // 2:]])
+    peak = warm_peak_bytes(extract_features, AudioBuffer(x, SR))
     assert peak <= features_peak_bound(n_frames)
+
+
+def test_only_the_frames_that_hold_a_nonzero_sample_are_transformed(monkeypatch):
+    # the utterance's gaps are digital silence; frames of 320 samples, hop 160
+    audio, _ = voiced_utterance(3)
+    x = audio.samples
+    live = [bool(np.any(x[i:i + 320])) for i in range(0, len(x) - 319, 160)]
+    assert 0 < sum(live) < len(live)
+    rows = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(a, *args, **kwargs):
+        rows.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    assert extract_features(audio).n_frames == len(live)
+    assert sum(rows) == sum(live)
+    # an all-zero clip transforms nothing and still gives one floor row per frame
+    rows.clear()
+    got = extract_features(AudioBuffer(np.zeros(SR), SR)).data
+    assert rows == []
+    floor_rows = np.full((99, 26), np.log(_LOG_FLOOR)) @ _dct_rows(13, 26).T
+    assert got.tobytes() == floor_rows.tobytes()
 
 
 def test_too_many_filters_are_refused_before_any_transform():

@@ -7,10 +7,11 @@ the channel's output range over every config and any float32 input; one
 TRANSFORMS table of every transform, each row under three laws: an empty
 clip stays empty, samples anywhere in the float64 range give finite samples
 or ValueError, and the input's samples are left as they were; the blocked
-feature spectrum and features against the one-shot STFT, and to rounding
-against |X| squared and one product; VAD scale covariance, the WAV and
-manifest round-trips, write_wav's quantization past full scale, and
-read_wav on arbitrary and damaged bytes."""
+feature spectrum and features against the one-shot STFT on clips with
+zeroed spans, and to rounding against |X| squared and one product; VAD
+scale covariance, the WAV and manifest round-trips, write_wav's
+quantization past full scale, and read_wav on arbitrary and damaged
+bytes."""
 
 import math
 import struct
@@ -32,7 +33,7 @@ from garble.dsp import (_fast_len, apply_fir, frames, lowpass_length, tiles,
                         window_ms_to_samples)
 from garble.features import (_BLOCK_FRAMES, _LOG_FLOOR, FeatureConfig, _dct_rows,
                              FeatureMatrix, extract_features, feature_distance,
-                             mel_filterbank, spectrum)
+                             mel_energies, mel_filterbank, spectrum)
 from garble.perturb import PerturbationParams, apply_params, check_params, hfa, rpg, tdi, ts
 from garble.vad import _percentile, detect_speech, frame_energies
 from oracles import (
@@ -419,28 +420,57 @@ def test_every_transform_returns_finite_samples_or_raises_value_error(path, valu
 
 # frame counts around the block size: one frame, a frame short of a block,
 # one block, a block and a frame, and three blocks and a one-frame tail;
-# spare % hop samples past the last frame start no further frame
+# spare % hop samples past the last frame start no further frame. One span
+# of the clip, given as fractions of its length, is zeroed with +0.0 or
+# -0.0: none, a leading, an inner or a trailing span, or the whole clip, so
+# that runs of all-zero frames, which the front end skips, fall anywhere.
+fractions = st.floats(0.0, 1.0)
 front_ends = dict(
     rate=st.sampled_from((8000, 16000, 44100)),
     n_frames=st.sampled_from((1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1,
                               3 * _BLOCK_FRAMES + 1)),
     spare=st.integers(0, 440), seed=seeds,
     window=st.sampled_from(("hamming", "rectangular")), use_power=st.booleans(),
-    pre_emphasis=st.sampled_from((0.0, 0.97)), include_dct=st.booleans())
+    pre_emphasis=st.sampled_from((0.0, 0.97)), include_dct=st.booleans(),
+    zeroed=st.one_of(st.just((0.0, 0.0)), st.tuples(st.just(0.0), fractions),
+                     st.tuples(fractions, fractions).map(sorted),
+                     st.tuples(fractions, st.just(1.0)), st.just((0.0, 1.0))),
+    zero=st.sampled_from((0.0, -0.0)))
 
 
 def front_end_case(rate, n_frames, spare, seed, window, use_power, pre_emphasis,
-                   include_dct):
+                   include_dct, zeroed, zero):
     """(audio, config, one-shot STFT, mel bank) for one drawn front end."""
     config = FeatureConfig(analysis_window=window, use_power=use_power,
                            pre_emphasis=pre_emphasis, include_dct=include_dct)
     frame_len = window_ms_to_samples(config.frame_ms, rate)
     hop = window_ms_to_samples(config.hop_ms, rate)
     x = signal(frame_len + (n_frames - 1) * hop + spare % hop, seed)
+    lo, hi = (round(f * len(x)) for f in zeroed)
+    x[lo:hi] = zero
     want = stft_one_shot(x, rate, window=window, use_power=use_power,
                          pre_emphasis=pre_emphasis)
     bank = mel_filterbank(config.n_filters, 2 * (want.shape[1] - 1), rate)
     return AudioBuffer(x, rate), config, want, bank
+
+
+def live_runs(audio, config):
+    """(first, stop) of each run of frames that hold a nonzero sample once
+    pre-emphasized, stop exclusive, found by a per-frame loop."""
+    x = audio.samples
+    if config.pre_emphasis:
+        x = np.concatenate([[x[0]], x[1:] - config.pre_emphasis * x[:-1]])
+    frame_len = window_ms_to_samples(config.frame_ms, audio.sample_rate)
+    hop = window_ms_to_samples(config.hop_ms, audio.sample_rate)
+    live = [bool(np.any(x[s:s + frame_len])) for s in range(0, len(x) - frame_len + 1, hop)]
+    runs, first = [], None
+    for i, flag in enumerate(live + [False]):
+        if flag and first is None:
+            first = i
+        elif not flag and first is not None:
+            runs.append((first, i))
+            first = None
+    return runs
 
 
 def log_mel_rows(energies, config):
@@ -457,10 +487,15 @@ def test_blocked_spectrum_and_features_match_the_one_shot_stft(**case):
     got = spectrum(audio, config)
     assert got.shape == want.shape == (case["n_frames"], want.shape[1])
     assert got.tobytes() == want.tobytes()
-    # the rest of the pipeline, one product per _BLOCK_FRAMES rows of the
-    # one-shot matrix
-    energies = np.concatenate([want[i:i + _BLOCK_FRAMES] @ bank.T
-                               for i in range(0, len(want), _BLOCK_FRAMES)])
+    # the rest of the pipeline: within each run of frames that hold a
+    # nonzero sample, one product per block of at most _BLOCK_FRAMES rows of
+    # the one-shot matrix, and zero energies everywhere else
+    energies = np.zeros((len(want), config.n_filters))
+    for first, stop in live_runs(audio, config):
+        for i in range(first, stop, _BLOCK_FRAMES):
+            rows = want[i:min(i + _BLOCK_FRAMES, stop)]
+            energies[i:i + len(rows)] = rows @ bank.T
+    assert mel_energies(audio, config).tobytes() == energies.tobytes()
     assert extract_features(audio, config).data.tobytes() == \
         log_mel_rows(energies, config).tobytes()
 
