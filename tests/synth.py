@@ -12,6 +12,15 @@ from garble.features import _BLOCK_FRAMES
 SR = 16000
 
 
+def _band_limited(rng, n, sr, lo_hz=300.0, hi_hz=3400.0):
+    """n samples of rng's normal noise limited to [lo_hz, hi_hz]: a 2n-sample
+    draw, its rfft zeroed outside the band, then the first n samples back."""
+    spec = np.fft.rfft(rng.standard_normal(2 * n))
+    freqs = np.fft.rfftfreq(2 * n, 1.0 / sr)
+    spec[(freqs < lo_hz) | (freqs > hi_hz)] = 0.0
+    return np.fft.irfft(spec)[:n]
+
+
 def band_noise(seed, duration_s=1.0, sr=SR, lo_hz=300.0, hi_hz=3400.0,
                amp=0.35, am_hz=4.0):
     """Speech-band noise with slow amplitude modulation.
@@ -21,10 +30,7 @@ def band_noise(seed, duration_s=1.0, sr=SR, lo_hz=300.0, hi_hz=3400.0,
     """
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sr))
-    spec = np.fft.rfft(rng.standard_normal(2 * n))
-    freqs = np.fft.rfftfreq(2 * n, 1.0 / sr)
-    spec[(freqs < lo_hz) | (freqs > hi_hz)] = 0.0
-    x = np.fft.irfft(spec)[:n]
+    x = _band_limited(rng, n, sr, lo_hz, hi_hz)
     t = np.arange(n) / sr
     x = x * (1.0 + 0.5 * np.sin(2.0 * np.pi * am_hz * t))
     return AudioBuffer(x * (amp / np.max(np.abs(x))), sr)
@@ -43,11 +49,7 @@ def burst_fixture(seed, duration_s=2.0, spans=((0.3, 0.8), (1.2, 1.7)),
     edge = int(round(edge_ms * sr / 1000.0))
     for b0, b1 in spans:
         i0, i1 = int(round(b0 * sr)), int(round(b1 * sr))
-        m = i1 - i0
-        spec = np.fft.rfft(rng.standard_normal(2 * m))
-        freqs = np.fft.rfftfreq(2 * m, 1.0 / sr)
-        spec[(freqs < 300.0) | (freqs > 3400.0)] = 0.0
-        burst = np.fft.irfft(spec)[:m]
+        burst = _band_limited(rng, i1 - i0, sr)
         burst *= amp / np.max(np.abs(burst))
         ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
         burst[:edge] *= ramp

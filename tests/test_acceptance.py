@@ -126,21 +126,32 @@ def test_ac04_ts_length_law():
         for factor in [100.0, 150.0, 200.0, 300.0]:
             out = ts(buf, factor)
             assert len(out) == math.floor((n - 0.5) / (factor / 100.0)) + 1
-        assert np.array_equal(ts(buf, 100.0).samples, buf.samples)
+            assert out.sample_rate == 16000
+        # the identity is the input itself: no gather and no buffer
+        assert ts(buf, 100.0) is buf
+        assert apply_params(buf, PerturbationParams(ts_factor_percent=100.0)) is buf
+
+
+# each front end as FeatureConfig fields, then as mfcc_reference's arguments
+FRONT_ENDS = (({}, {}),
+              ({"analysis_window": "rectangular", "use_power": False},
+               {"window": "rectangular", "use_power": False}),
+              ({"pre_emphasis": 0.97}, {"pre_emphasis": 0.97}))
 
 
 def test_ac05_mfcc_oracle_equivalence():
-    with criterion(5, "mfcc matches the brute-force oracle", 30.0):
+    with criterion(5, "mfcc matches the brute-force oracle in three front ends", 30.0):
         rng = np.random.default_rng(1005)
         for clip in range(10):
             if clip % 2 == 0:
                 buf = AudioBuffer(rng.uniform(-0.35, 0.35, 16000), 16000)
             else:
                 buf = fixture(300 + clip)
-            feats = extract_features(buf)
-            assert feats.n_frames == 99
-            want = mfcc_reference(buf.samples, 16000)
-            assert np.max(np.abs(feats.data - want)) <= 1e-6
+            for fields, reference in FRONT_ENDS:
+                feats = extract_features(buf, FeatureConfig(**fields))
+                assert feats.n_frames == 99
+                want = mfcc_reference(buf.samples, 16000, **reference)
+                assert np.max(np.abs(feats.data - want)) <= 1e-6
 
 
 def test_ac06_feature_preservation_aligned():

@@ -341,6 +341,14 @@ def test_a_60_s_clip_streams_through_features_and_spectrogram(tmp_path, wav_on_d
     assert dst.read_bytes().startswith(b"P5\n5999 257\n255\n")
 
 
+def test_spectrogram_draws_digital_silence_black(tmp_path, wav_on_disk):
+    # every bin of 1 s of zeros sits on the -200 dB floor, the loudest bin
+    dst = tmp_path / "silent.pgm"
+    assert main(["spectrogram", str(wav_on_disk(AudioBuffer(np.zeros(16000), 16000))),
+                 str(dst)]) == 0
+    assert dst.read_bytes() == b"P5\n99 257\n255\n" + bytes(99 * 257)
+
+
 # --- the exit-2 contract ----------------------------------------------------------
 
 # {dir} is the test's temp directory, which holds these files, the input

@@ -43,6 +43,7 @@ from oracles import (
     improved_attack_eager,
     rpg_loop,
     stft_one_shot,
+    tdi_loop,
     vad_energies_loop,
 )
 from synth import SR, band_noise
@@ -110,11 +111,16 @@ def test_window_ms_to_samples_counts_or_raises_value_error(window_ms, rate):
 
 @bounded
 @given(n=lengths, window_ms=windows_ms, seed=seeds)
+@example(n=7, window_ms=3 * 1000 / SR, seed=0)  # two windows and a one-sample tail
+@example(n=100, window_ms=1000 / SR, seed=0)    # one-sample windows
+@example(n=50, window_ms=64 * 1000 / SR, seed=0)  # one window past the clip
 def test_rpg_matches_window_loop(n, window_ms, seed):
+    # tdi too: each window, and the shorter tail, reversed in place
     x = signal(n, seed)
+    w = window_ms_to_samples(window_ms, SR)
     got = rpg(AudioBuffer(x, SR), window_ms, seed).samples
-    want = rpg_loop(x, window_ms_to_samples(window_ms, SR), seed)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == rpg_loop(x, w, seed).tobytes()
+    assert tdi(AudioBuffer(x, SR), window_ms).samples.tobytes() == tdi_loop(x, w).tobytes()
 
 
 @bounded
